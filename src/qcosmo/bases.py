@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DomainError,
     HermiticityError,
     InvalidTruncationError,
     ShapeError,
@@ -61,6 +62,13 @@ def require_hermitian(op: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarra
     scale = max(1.0, np.max(np.abs(op)))
     if dev > tol * scale:
         raise HermiticityError(f"matrix deviates from Hermitian by {dev:.3e}")
+    return op
+
+
+def require_finite(op: np.ndarray) -> np.ndarray:
+    """Return ``op`` unchanged, raising if any entry is NaN or infinite."""
+    if not np.isfinite(op).all():
+        raise DomainError("matrix has non-finite entries")
     return op
 
 

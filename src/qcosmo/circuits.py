@@ -60,13 +60,16 @@ class Circuit:
         return "\n".join(lines)
 
 
+ROTATIONS = ("ry", "rz")
+
+
 @dataclass(frozen=True)
 class AnsatzSpec:
     """Layout of the hardware-efficient ansatz."""
 
     n_qubits: int
     reps: int = 3
-    rotations: tuple[str, ...] = ("ry", "rz")
+    rotations: tuple[str, ...] = ROTATIONS
     entanglement: str = "full"
 
     def __post_init__(self):
@@ -75,7 +78,7 @@ class AnsatzSpec:
         if self.entanglement != "full":
             raise ShapeError("only full entanglement is implemented")
         for r in self.rotations:
-            if r not in ("ry", "rz"):
+            if r not in ROTATIONS:
                 raise ShapeError(f"unknown rotation {r!r}")
 
 

@@ -24,41 +24,21 @@ from pathlib import Path
 
 import numpy as np
 
-from . import evolution, models, pauli, presets, tunneling, vqe
+from . import config, evolution, models, pauli, presets, tunneling, vqe
 from .circuits import AnsatzSpec
 from .errors import ConfigError, QcosmoError
 
 SCHEMA_VERSION = 1
 
-_TOP_KEYS = {"model", "params", "qubits", "basis", "vqe", "eoh", "tunneling", "seed", "out"}
-_VQE_KEYS = {"reps", "rotations", "optimizer", "budget", "tol", "seed"}
-_EOH_KEYS = {"kind", "n_qubits", "x0_index", "tau_list", "steps", "order",
-             "center", "width", "params"}
-_TUN_KEYS = {"model", "params", "guess"}
-
-_OPTIMIZERS = {k.value: k for k in vqe.OptimizerKind}
-
-
-def _validate(config: dict) -> dict:
-    unknown = set(config) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for block, allowed in (("vqe", _VQE_KEYS), ("eoh", _EOH_KEYS), ("tunneling", _TUN_KEYS)):
-        sub = config.get(block)
-        if sub is None:
-            continue
-        if not isinstance(sub, dict):
-            raise ConfigError(f"{block} block must be an object")
-        bad = set(sub) - allowed
-        if bad:
-            raise ConfigError(f"unknown {block} keys: {sorted(bad)}")
-    return config
+# the block each block-level override flag writes to
+_OVERRIDES = {"seed": "vqe", "budget": "vqe", "optimizer": "vqe", "steps": "eoh", "order": "eoh"}
 
 
 def _load_config(args) -> dict:
-    config: dict = {}
+    """The preset and config file merged, argv overrides applied, then checked."""
+    raw: dict = {}
     if args.preset:
-        config = presets.get_preset(args.preset)
+        raw = presets.get_preset(args.preset)
     if args.config:
         try:
             loaded = json.loads(Path(args.config).read_text())
@@ -66,27 +46,21 @@ def _load_config(args) -> dict:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
-        config.update(loaded)
+        raw.update(loaded)
 
     if args.qubits:
         try:
-            config["qubits"] = [int(q) for q in args.qubits.split(",")]
+            raw["qubits"] = [int(q) for q in args.qubits.split(",")]
         except ValueError as exc:
             raise ConfigError(f"bad --qubits value {args.qubits!r}") from exc
     if args.basis:
-        config["basis"] = args.basis
-    if args.seed is not None:
-        config.setdefault("vqe", {})["seed"] = args.seed
-        config["seed"] = args.seed
-    if args.budget is not None:
-        config.setdefault("vqe", {})["budget"] = args.budget
-    if args.optimizer:
-        config.setdefault("vqe", {})["optimizer"] = args.optimizer
-    if args.steps is not None:
-        config.setdefault("eoh", {})["steps"] = args.steps
-    if args.order is not None:
-        config.setdefault("eoh", {})["order"] = args.order
-    return _validate(config)
+        raw["basis"] = args.basis
+    for key, block in _OVERRIDES.items():
+        value = getattr(args, key)
+        # a block that is not an object is left for the schema to report
+        if value is not None and isinstance(raw.setdefault(block, {}), dict):
+            raw[block][key] = value
+    return config.check_run(raw)
 
 
 def _out_dir(args) -> Path:
@@ -106,21 +80,12 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _model_config(config: dict) -> dict:
-    missing = [k for k in ("model", "qubits") if k not in config]
-    if missing:
-        raise ConfigError(f"config is missing keys: {missing}")
-    return {
-        "model": config["model"],
-        "params": config.get("params", {}),
-        "qubits": config["qubits"],
-        "basis": config.get("basis", "oscillator"),
-    }
+def _model_config(run: dict) -> dict:
+    return {k: run[k] for k in models.MODEL_SCHEMA}
 
 
 def cmd_exact(args) -> int:
-    config = _load_config(args)
-    h, resolved = models.build_model(_model_config(config))
+    h, resolved = models.build_model(_model_config(_load_config(args)))
     ground, _ = vqe.exact_ground(h)
     n_terms = len(pauli.decompose(h))
     payload = {
@@ -137,24 +102,12 @@ def cmd_exact(args) -> int:
 
 
 def cmd_vqe(args) -> int:
-    config = _load_config(args)
-    h, resolved = models.build_model(_model_config(config))
-    vqe_cfg = config.get("vqe", {})
-    n_qubits = int(np.log2(h.shape[0]))
-    spec = AnsatzSpec(
-        n_qubits=n_qubits,
-        reps=int(vqe_cfg.get("reps", 3)),
-        rotations=tuple(vqe_cfg.get("rotations", ["ry", "rz"])),
-    )
-    opt_name = vqe_cfg.get("optimizer", "gradient-descent")
-    if opt_name not in _OPTIMIZERS:
-        raise ConfigError(f"unknown optimizer {opt_name!r}; known: {sorted(_OPTIMIZERS)}")
-    opt = vqe.OptimizerConfig(
-        kind=_OPTIMIZERS[opt_name],
-        budget=int(vqe_cfg.get("budget", 600)),
-        tol=float(vqe_cfg.get("tol", 1e-9)),
-        seed=int(vqe_cfg.get("seed", 0)),
-    )
+    run = _load_config(args)
+    h, resolved = models.build_model(_model_config(run))
+    block = run["vqe"]
+    spec = AnsatzSpec(sum(resolved["qubits"]), block["reps"], tuple(block["rotations"]))
+    opt = vqe.OptimizerConfig(kind=vqe.OptimizerKind(block["optimizer"]), budget=block["budget"],
+                              tol=block["tol"], seed=block["seed"])
     result = vqe.run_vqe(h, spec, opt)
     exact, _ = vqe.exact_ground(h)
     n_terms = len(pauli.decompose(h))
@@ -175,7 +128,7 @@ def cmd_vqe(args) -> int:
         "exact": exact,
         "vqe": result.energy,
         "seed": opt.seed,
-        "optimizer": opt_name,
+        "optimizer": block["optimizer"],
         "budget": opt.budget,
         "reps": spec.reps,
         "converged": result.converged,
@@ -190,46 +143,25 @@ def cmd_vqe(args) -> int:
 
 
 def cmd_eoh(args) -> int:
-    config = _load_config(args)
-    eoh_cfg = config.get("eoh")
-    if not eoh_cfg:
+    eoh = _load_config(args)["eoh"]
+    if eoh is None:
         raise ConfigError("eoh command requires an 'eoh' block or preset")
-    kind = eoh_cfg.get("kind", "interval")
-    n_qubits = int(eoh_cfg.get("n_qubits", 5))
-    tau_list = [float(t) for t in eoh_cfg.get("tau_list", [0.0, 0.1])]
-    steps = int(eoh_cfg.get("steps", 64))
-    order = int(eoh_cfg.get("order", 2))
-
-    if kind == "interval":
-        x0 = int(eoh_cfg.get("x0_index", 2**n_qubits // 2))
+    n, tau_list, steps, order = eoh["n_qubits"], eoh["tau_list"], eoh["steps"], eoh["order"]
+    if eoh["kind"] == "interval":
         profiles = evolution.interval_propagation_profile(
-            n_qubits, tau_list, x0, steps=steps, order=order
+            n, tau_list, eoh["x0_index"], steps=steps, order=order
         )
-        h = evolution.free_interval_hamiltonian(n_qubits)
-        psi0 = np.zeros(2**n_qubits, dtype=complex)
-        psi0[x0] = 1.0
-        exact_states = [evolution.exact_evolve(h, t, psi0) for t in tau_list]
-    elif kind == "double-well":
-        params, _ = models.params_from_dict(
-            "minisuperspace", {**eoh_cfg.get("params", {}), "kind": "neg-lambda-morse"}
-        )
-        center = float(eoh_cfg.get("center", -1.5))
-        width = float(eoh_cfg.get("width", 0.35))
-        profiles = evolution.double_well_eoh(
-            params, n_qubits, tau_list, center, width, steps=steps, order=order
-        )
-        grid = evolution.fd_grid(n_qubits)
-        v = params.volume(models.MinisuperspaceKind.NEG_LAMBDA_MORSE)
-        pot = 2.0 * v**2 * params.k_curv * grid**2 - 2.0 * v**2 * params.Lambda * grid**4
-        from .bases import BasisKind, build_momentum_squared
-
-        h = build_momentum_squared(BasisKind.FINITE_DIFFERENCE, 2**n_qubits) / 2.0 + np.diag(
-            pot.astype(complex)
-        )
-        psi0 = evolution.gaussian_on_grid(grid, center, width)
-        exact_states = [evolution.exact_evolve(h, t, psi0) for t in tau_list]
+        h = evolution.free_interval_hamiltonian(n)
+        psi0 = np.zeros(2**n, dtype=complex)
+        psi0[eoh["x0_index"]] = 1.0
     else:
-        raise ConfigError(f"unknown eoh kind {kind!r}")
+        params = models.MinisuperspaceParams(**eoh["params"])
+        profiles = evolution.double_well_eoh(
+            params, n, tau_list, eoh["center"], eoh["width"], steps=steps, order=order
+        )
+        h = sum(evolution.double_well_parts(params, n))
+        psi0 = evolution.gaussian_on_grid(evolution.fd_grid(n), eoh["center"], eoh["width"])
+    exact_states = [evolution.exact_evolve(h, t, psi0) for t in tau_list]
 
     out_dir = _out_dir(args)
     lines = ["tau,x_index,x_value,re_K,im_K,abs2_K"]
@@ -248,7 +180,7 @@ def cmd_eoh(args) -> int:
     norms = [float(np.sum(prof.squared)) for prof in profiles]
     payload = {
         "schema_version": SCHEMA_VERSION,
-        "config": {"eoh": eoh_cfg},
+        "config": {"eoh": eoh},
         "tau": tau_list,
         "norm": norms,
         "deviation_vs_exact": deviations,
@@ -258,42 +190,32 @@ def cmd_eoh(args) -> int:
     return 0
 
 
-def _tunneling_report(config: dict) -> dict:
-    block = config.get("tunneling", {"model": "dark_energy_1r", "params": {}, "guess": 5.0})
-    model = block.get("model", "dark_energy_1r")
-    params, _ = models.params_from_dict(model, block.get("params", {}))
-    if model == "dark_energy_1r":
-        potential = models.dark_energy_potential(params)
-    elif model == "starobinsky":
-        potential = models.starobinsky_potential(params)
-    else:
-        raise ConfigError(f"tunneling analysis supports single-field models, not {model!r}")
-    return tunneling.report(potential, float(block.get("guess", 5.0)))
+def _tunneling_report(block: dict) -> dict:
+    params, _ = models.params_from_dict(block["model"], block["params"])
+    potential = models.SINGLE_FIELD_POTENTIALS[block["model"]](params)
+    return tunneling.report(potential, block["guess"])
 
 
 def cmd_reproduce(args) -> int:
     table_id = args.table
     if table_id not in presets.REPRODUCE_TABLES:
-        print(
-            f"unknown table id {table_id!r}; known: {sorted(presets.REPRODUCE_TABLES)}",
-            file=sys.stderr,
-        )
-        return 2
+        known = sorted(presets.REPRODUCE_TABLES)
+        raise ConfigError(f"unknown table id {table_id!r}; known: {known}")
     spec = presets.REPRODUCE_TABLES[table_id]
     tun_cache: dict | None = None
     rows_out = []
     for row in spec["rows"]:
-        preset = presets.get_preset(row["preset"])
+        run = config.check_run(presets.get_preset(row["preset"]))
         quantity = row["quantity"]
         if quantity in ("exact_ground", "pauli_terms"):
-            h, _ = models.build_model(_model_config(preset))
+            h, _ = models.build_model(_model_config(run))
             if quantity == "exact_ground":
                 computed = vqe.exact_ground(h)[0]
             else:
                 computed = len(pauli.decompose(h))
         else:
             if tun_cache is None:
-                tun_cache = _tunneling_report(preset)
+                tun_cache = _tunneling_report(run["tunneling"])
             if quantity not in tun_cache:
                 raise ConfigError(f"unknown reproduce quantity {quantity!r}")
             computed = tun_cache[quantity]
@@ -329,11 +251,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", help="output directory (default $QCOSMO_OUT or .)")
         p.add_argument("--qubits", help="qubit counts, e.g. 4 or 4,4")
-        p.add_argument("--basis", choices=["oscillator", "position", "fd"])
-        p.add_argument("--optimizer", choices=sorted(_OPTIMIZERS))
+        p.add_argument("--basis")
+        p.add_argument("--optimizer")
         p.add_argument("--budget", type=int, default=None)
         p.add_argument("--steps", type=int, default=None)
-        p.add_argument("--order", type=int, choices=[1, 2], default=None)
+        p.add_argument("--order", type=int, default=None)
 
     for name, fn in (("exact", cmd_exact), ("vqe", cmd_vqe), ("eoh", cmd_eoh)):
         p = sub.add_parser(name)
@@ -357,7 +279,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except QcosmoError as exc:
+    except (QcosmoError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
 

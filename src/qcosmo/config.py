@@ -1,0 +1,61 @@
+"""JSON run-config schema: :func:`check_run` checks a whole run config at load.
+
+The ``vqe``, ``eoh`` and ``tunneling`` tables give each key as (default, type,
+allowed values), like ``models.MODEL_SCHEMA``; see :func:`models.check_block`.
+"""
+
+from __future__ import annotations
+
+import sys
+
+from . import evolution, models
+from .circuits import ROTATIONS, AnsatzSpec
+from .vqe import OptimizerConfig, OptimizerKind
+
+_AT_LEAST_ONE = range(1, sys.maxsize)
+
+_VQE_SCHEMA = {
+    "reps": (AnsatzSpec.reps, int, _AT_LEAST_ONE),
+    "rotations": (list(AnsatzSpec.rotations), [str], ROTATIONS),
+    "optimizer": (OptimizerConfig.kind.value, str, tuple(k.value for k in OptimizerKind)),
+    "budget": (OptimizerConfig.budget, int, _AT_LEAST_ONE),
+    "tol": (OptimizerConfig.tol, float, None),
+    "seed": (OptimizerConfig.seed, int, range(sys.maxsize)),
+}
+_EOH_SCHEMA = {
+    "kind": ("interval", str, ("interval", "double-well")),
+    "n_qubits": (5, int, models.QUBIT_COUNTS),
+    "x0_index": (None, int, None),  # None: the middle of the grid
+    "tau_list": ([0.0, 0.1], [float], None),
+    "steps": (evolution.PROFILE_STEPS, int, _AT_LEAST_ONE),
+    "order": (evolution.PROFILE_ORDER, int, (1, 2)),
+    "center": (-1.5, float, None),
+    "width": (0.35, float, None),
+    # the double well's minisuperspace fields; its kind is always neg-lambda-morse
+    "params": ({}, dict, models.params_schema("minisuperspace")),
+}
+_TUNNELING_SCHEMA = {
+    "model": ("dark_energy_1r", str, tuple(models.SINGLE_FIELD_POTENTIALS)),
+    "params": ({}, dict, None),
+    "guess": (5.0, float, None),
+}
+_RUN_SCHEMA = {
+    **models.MODEL_SCHEMA,
+    "vqe": ({}, dict, _VQE_SCHEMA),
+    "eoh": (None, dict, _EOH_SCHEMA),
+    "tunneling": ({}, dict, _TUNNELING_SCHEMA),
+}
+
+
+def check_run(config: dict) -> dict:
+    """Check a run config; return it with every default filled in."""
+    run = models.check_block(config, _RUN_SCHEMA, "config")
+    if run["model"] is not None:
+        run.update(models.check_model({k: run[k] for k in models.MODEL_SCHEMA}))
+    eoh, tun = run["eoh"], run["tunneling"]
+    if eoh is not None:
+        grid = range(2 ** eoh["n_qubits"])
+        x0 = len(grid) // 2 if eoh["x0_index"] is None else eoh["x0_index"]
+        eoh["x0_index"] = models.check_value(x0, int, grid, "config.eoh.x0_index")
+    tun["params"] = models.check_params(tun["model"], tun["params"])
+    return run

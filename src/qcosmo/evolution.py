@@ -163,12 +163,28 @@ def fd_grid(n_qubits: int) -> np.ndarray:
     return np.real(np.diagonal(build_position(BasisKind.FINITE_DIFFERENCE, 2**n_qubits)))
 
 
+PROFILE_STEPS, PROFILE_ORDER = 64, 2
+"""Default Trotter slices and order of the fifth-time profiles."""
+
+
+def _profiles(parts, grid, psi0, tau_list, steps, order) -> list[KernelProfile]:
+    """Trotter-evolved ``psi0`` at each tau (tau = 0 is ``psi0`` itself)."""
+    profiles = []
+    for tau in tau_list:
+        if tau == 0.0:
+            final = psi0.copy()
+        else:
+            final = trotter_evolve(parts, float(tau), steps, order, psi0).final
+        profiles.append(KernelProfile(grid=grid, tau=float(tau), values=final))
+    return profiles
+
+
 def interval_propagation_profile(
     n_qubits: int,
     tau_list,
     x0_index: int,
-    steps: int = 64,
-    order: int = 2,
+    steps: int = PROFILE_STEPS,
+    order: int = PROFILE_ORDER,
 ) -> list[KernelProfile]:
     """|K(x, x0; tau)|^2 profiles for free propagation along an interval.
 
@@ -182,19 +198,35 @@ def interval_propagation_profile(
         raise ShapeError("x0_index out of range")
     psi0 = np.zeros(grid.size, dtype=complex)
     psi0[x0_index] = 1.0
-    profiles = []
-    for tau in tau_list:
-        if tau == 0.0:
-            final = psi0.copy()
-        else:
-            final = trotter_evolve(parts, float(tau), steps, order, psi0).final
-        profiles.append(KernelProfile(grid=grid, tau=float(tau), values=final))
-    return profiles
+    return _profiles(parts, grid, psi0, tau_list, steps, order)
 
 
 def gaussian_on_grid(grid: np.ndarray, center: float, width: float) -> np.ndarray:
     psi = np.exp(-((grid - center) ** 2) / (4.0 * width**2)).astype(complex)
     return psi / np.linalg.norm(psi)
+
+
+def double_well_parts(
+    params: MinisuperspaceParams,
+    n_qubits: int,
+    kind: MinisuperspaceKind = MinisuperspaceKind.NEG_LAMBDA_MORSE,
+) -> list[np.ndarray]:
+    """Kinetic and potential parts of the fifth-time barrier Hamiltonian.
+
+    For the negative-cosmological-constant kind the exponential potential is
+    continued to the symmetric quartic double well in the grid variable
+    (exp(2 alpha) -> y^2); the spherical kind keeps its exponential form.
+    """
+    if kind not in (MinisuperspaceKind.NEG_LAMBDA_MORSE, MinisuperspaceKind.MORSE_S2):
+        raise ShapeError("double-well evolution expects a Morse-family kind")
+    grid = fd_grid(n_qubits)
+    v = params.volume(kind)
+    if kind is MinisuperspaceKind.NEG_LAMBDA_MORSE:
+        pot = 2.0 * v**2 * params.k_curv * grid**2 - 2.0 * v**2 * params.Lambda * grid**4
+    else:
+        pot = minisuperspace_v_eff(kind, params)(grid)
+    kinetic = build_momentum_squared(BasisKind.FINITE_DIFFERENCE, 2**n_qubits) / 2.0
+    return [kinetic, np.diag(pot.astype(complex))]
 
 
 def double_well_eoh(
@@ -204,33 +236,14 @@ def double_well_eoh(
     center: float,
     width: float,
     kind: MinisuperspaceKind = MinisuperspaceKind.NEG_LAMBDA_MORSE,
-    steps: int = 64,
-    order: int = 2,
+    steps: int = PROFILE_STEPS,
+    order: int = PROFILE_ORDER,
 ) -> list[KernelProfile]:
-    """Evolve a Gaussian through fifth time in a barrier potential.
+    """Evolve a Gaussian through fifth time in the :func:`double_well_parts` barrier.
 
-    For the negative-cosmological-constant kind the exponential potential is
-    continued to the symmetric quartic double well in the grid variable
-    (exp(2 alpha) -> y^2); the spherical kind keeps its exponential form.
     Kinetic/potential splitting: both factors exponentiate exactly.
     """
-    if kind not in (MinisuperspaceKind.NEG_LAMBDA_MORSE, MinisuperspaceKind.MORSE_S2):
-        raise ShapeError("double-well evolution expects a Morse-family kind")
-    dim = 2**n_qubits
+    parts = double_well_parts(params, n_qubits, kind)
     grid = fd_grid(n_qubits)
-    v = params.volume(kind)
-    if kind is MinisuperspaceKind.NEG_LAMBDA_MORSE:
-        pot = 2.0 * v**2 * params.k_curv * grid**2 - 2.0 * v**2 * params.Lambda * grid**4
-    else:
-        pot = minisuperspace_v_eff(kind, params)(grid)
-    kinetic = build_momentum_squared(BasisKind.FINITE_DIFFERENCE, dim) / 2.0
-    parts = [kinetic, np.diag(pot.astype(complex))]
     psi0 = gaussian_on_grid(grid, center, width)
-    profiles = []
-    for tau in tau_list:
-        if tau == 0.0:
-            final = psi0.copy()
-        else:
-            final = trotter_evolve(parts, float(tau), steps, order, psi0).final
-        profiles.append(KernelProfile(grid=grid, tau=float(tau), values=final))
-    return profiles
+    return _profiles(parts, grid, psi0, tau_list, steps, order)

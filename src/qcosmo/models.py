@@ -1,9 +1,11 @@
 """Model Hamiltonians and classical potentials, with named parameter presets.
 
-Every builder returns a dense Hermitian matrix assembled from the discrete
-bases in :mod:`qcosmo.bases`. Potentials of a position operator are applied
-by spectral calculus, so exponential terms are exact matrix functions of the
-truncated operator.
+Every builder returns a dense Hermitian matrix, with finite entries, assembled
+from the discrete bases in :mod:`qcosmo.bases`. Potentials of a position
+operator are applied by spectral calculus, so exponential terms are exact
+matrix functions of the truncated operator. The end of the module holds the
+model half of the JSON config schema (:func:`check_block`, ``MODEL_SCHEMA``);
+:mod:`qcosmo.config` adds the run blocks.
 
 Default parameters are chosen so that the well-known desk-scale benchmarks
 come out of the box: the inflaton well has unit curvature at its bottom, and
@@ -14,7 +16,9 @@ energy of about 1.1e-6 in Planck units after quantum corrections.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import reprlib
+import sys
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -27,6 +31,7 @@ from .bases import (
     build_position,
     hermitize,
     lift_to_mode,
+    require_finite,
 )
 from .errors import ConfigError, DomainError, InconsistentInitialDataError, ShapeError
 
@@ -228,7 +233,8 @@ def starobinsky_hamiltonian(
 ) -> np.ndarray:
     dim = 2**n_qubits
     x, p_sq = _single_mode_xp(basis, dim)
-    return hermitize(p_sq / 2.0 + apply_scalar_function(x, starobinsky_potential(params)))
+    v = apply_scalar_function(x, starobinsky_potential(params))
+    return require_finite(hermitize(p_sq / 2.0 + v))
 
 
 def dark_energy_single_radius(
@@ -238,7 +244,8 @@ def dark_energy_single_radius(
 ) -> np.ndarray:
     dim = 2**n_qubits
     x, p_sq = _single_mode_xp(basis, dim)
-    return hermitize(p_sq / 2.0 + apply_scalar_function(x, dark_energy_potential(params)))
+    v = apply_scalar_function(x, dark_energy_potential(params))
+    return require_finite(hermitize(p_sq / 2.0 + v))
 
 
 def dark_energy_two_radius(
@@ -272,7 +279,7 @@ def dark_energy_two_radius(
         e1 = apply_scalar_function(x, lambda t, c1=c1: np.exp(c1 * t))
         e2 = apply_scalar_function(x, lambda t, c2=c2: np.exp(c2 * t))
         h = h + weight * np.kron(e1, e2)
-    return hermitize(h)
+    return require_finite(hermitize(h))
 
 
 def dark_matter_model_one(
@@ -288,7 +295,7 @@ def dark_matter_model_one(
     h_x = p_sq / 2.0 + x @ x / 2.0 + params.lambda_X * x4
     h_y = p_sq / 2.0 + x @ x / 2.0 + params.lambda_Y * x4
     mix = (params.lambda_mix / params.a_scale**4) * np.kron(x4, x4)
-    return hermitize(lift_to_mode(h_x, 0, reg) + lift_to_mode(h_y, 1, reg) + mix)
+    return require_finite(hermitize(lift_to_mode(h_x, 0, reg) + lift_to_mode(h_y, 1, reg) + mix))
 
 
 def dark_matter_model_two(
@@ -323,7 +330,7 @@ def dark_matter_model_two(
     b_sq = b @ b
     mix = (params.lambda_mix / params.a_scale**4) * np.kron(a_sq, b_sq)
 
-    return hermitize(lift_to_mode(h_x, 0, reg) + lift_to_mode(h_y, 1, reg) + mix)
+    return require_finite(hermitize(lift_to_mode(h_x, 0, reg) + lift_to_mode(h_y, 1, reg) + mix))
 
 
 def minisuperspace_hamiltonian(
@@ -335,7 +342,7 @@ def minisuperspace_hamiltonian(
     dim = 2**n_qubits
     x, p_sq = _single_mode_xp(basis, dim)
     v_eff = minisuperspace_v_eff(kind, params)
-    return hermitize(p_sq / 2.0 + apply_scalar_function(x, v_eff))
+    return require_finite(hermitize(p_sq / 2.0 + apply_scalar_function(x, v_eff)))
 
 
 # ---------------------------------------------------------------------------
@@ -428,96 +435,140 @@ def friedmann_evolve(
 
 
 # ---------------------------------------------------------------------------
-# JSON model-config interface
+# JSON config schema: each block maps its keys to (default, type, allowed)
 
-_PARAM_CLASSES = {
-    "starobinsky": StarobinskyParams,
-    "dark_energy_1r": DarkEnergySingleRadiusParams,
-    "dark_energy_2r": DarkEnergyTwoRadiusParams,
-    "dark_matter_1": DarkMatterParams,
-    "dark_matter_2": DarkMatterParams,
-    "minisuperspace": MinisuperspaceParams,
+MAX_QUBITS = 8
+"""Most qubits a config may request in total: a dense 256 x 256 matrix."""
+
+QUBIT_COUNTS = range(1, MAX_QUBITS + 1)
+
+# model name: (parameter class, Hamiltonian builder, number of modes)
+_MODELS = {
+    "starobinsky": (StarobinskyParams, starobinsky_hamiltonian, 1),
+    "dark_energy_1r": (DarkEnergySingleRadiusParams, dark_energy_single_radius, 1),
+    "dark_energy_2r": (DarkEnergyTwoRadiusParams, dark_energy_two_radius, 2),
+    "dark_matter_1": (DarkMatterParams, dark_matter_model_one, 2),
+    "dark_matter_2": (DarkMatterParams, dark_matter_model_two, 2),
+    "minisuperspace": (MinisuperspaceParams, minisuperspace_hamiltonian, 1),
+}
+# the potentials the tunneling analysis accepts
+SINGLE_FIELD_POTENTIALS = {
+    "starobinsky": starobinsky_potential,
+    "dark_energy_1r": dark_energy_potential,
 }
 
-_BASIS_NAMES = {b.value: b for b in BasisKind}
+MODEL_SCHEMA = {
+    "model": (None, str, tuple(_MODELS)),
+    "params": ({}, dict, None),
+    "qubits": (None, [int], QUBIT_COUNTS),
+    "basis": (BasisKind.OSCILLATOR.value, str, tuple(b.value for b in BasisKind)),
+}
+_TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string", dict: "an object"}
+
+
+def _describe(kind, allowed) -> str:
+    if isinstance(allowed, range):
+        top = "" if allowed.stop == sys.maxsize else f" and <= {allowed.stop - 1}"
+        return f"an integer >= {allowed.start}{top}"
+    return _TYPE_NAMES[kind] if allowed is None else f"one of {list(allowed)}"
+
+
+def check_value(value, kind, allowed, where: str, nullable: bool = False):
+    if value is None and nullable:
+        return None
+    if isinstance(allowed, dict):  # a nested block and its schema
+        return check_block(value, allowed, where)
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{where} must be a list, not {reprlib.repr(value)}")
+        return [check_value(v, kind[0], allowed, f"{where}[{i}]") for i, v in enumerate(value)]
+    ok = not isinstance(value, bool) and isinstance(value, (int, float) if kind is float else kind)
+    if ok and kind is float:
+        ok = abs(value) <= sys.float_info.max  # false for inf and NaN
+    if not ok or allowed is not None and value not in allowed:
+        raise ConfigError(f"{where} must be {_describe(kind, allowed)}, not {reprlib.repr(value)}")
+    if kind is float:
+        return float(value)
+    return dict(value) if kind is dict else value
+
+
+def check_block(raw, schema: dict, where: str, required=()) -> dict:
+    """Check the JSON object ``raw`` against ``schema``; return it with defaults.
+
+    ``schema`` maps each key to ``(default, type, allowed)``. ``int`` takes no
+    booleans, ``float`` takes finite numbers (widened to float), ``[t]`` is a
+    list of ``t``, and ``allowed`` (a range or a tuple of choices) bounds the
+    value or each list element; for a ``dict``, ``allowed`` may be the nested
+    block's schema. Null passes only where the default is None;
+    keys in ``required`` must be given. Failures raise a one-line ConfigError.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be an object, not {reprlib.repr(raw)}")
+    unknown = sorted(set(raw) - set(schema))
+    if unknown:
+        raise ConfigError(f"unknown {where} keys: {unknown}")
+    missing = [k for k in required if raw.get(k) is None]
+    if missing:
+        raise ConfigError(f"{where} is missing keys: {missing}")
+    return {
+        key: check_value(raw.get(key, default), kind, allowed, f"{where}.{key}", default is None)
+        for key, (default, kind, allowed) in schema.items()
+    }
+
+
+def params_schema(model: str) -> dict:
+    """The schema of ``model``'s parameter fields, each a finite number."""
+    if model not in _MODELS:
+        raise ConfigError(f"unknown model {model!r}; known: {sorted(_MODELS)}")
+    return {f.name: (f.default, float, None) for f in fields(_MODELS[model][0])}
+
+
+def check_params(model: str, raw) -> dict:
+    """Check ``model``'s params block; minisuperspace also requires ``kind``."""
+    schema = params_schema(model)
+    if model != "minisuperspace":
+        return check_block(raw, schema, f"{model} params")
+    schema["kind"] = (None, str, tuple(k.value for k in MinisuperspaceKind))
+    return check_block(raw, schema, f"{model} params", required=("kind",))
 
 
 def params_from_dict(model: str, raw: dict):
-    """Instantiate the model's parameter dataclass, rejecting unknown keys."""
-    if model not in _PARAM_CLASSES:
-        raise ConfigError(f"unknown model {model!r}; known: {sorted(_PARAM_CLASSES)}")
-    cls = _PARAM_CLASSES[model]
-    raw = dict(raw or {})
-    kind = raw.pop("kind", None)
-    fields = {f for f in cls.__dataclass_fields__}
-    unknown = set(raw) - fields
-    if unknown:
-        raise ConfigError(f"unknown parameter keys for {model}: {sorted(unknown)}")
-    params = cls(**raw)
-    if model == "minisuperspace":
-        if kind is None:
-            raise ConfigError("minisuperspace model requires params.kind")
-        try:
-            kind = MinisuperspaceKind(kind)
-        except ValueError as exc:
-            raise ConfigError(f"unknown minisuperspace kind {kind!r}") from exc
-        return params, kind
-    if kind is not None:
-        raise ConfigError("'kind' is only valid for the minisuperspace model")
-    return params, None
+    """Instantiate the model's parameter dataclass, rejecting unknown keys.
+
+    Returns the parameters and, for the minisuperspace model (which requires
+    ``kind``), the MinisuperspaceKind; for the other models, None.
+    """
+    values = check_params(model, {} if raw is None else raw)
+    kind = values.pop("kind", None)
+    return _MODELS[model][0](**values), MinisuperspaceKind(kind) if kind else None
+
+
+def check_model(config: dict) -> dict:
+    """Check the model keys; return them resolved, applying the qubit limit."""
+    block = check_block(config, MODEL_SCHEMA, "config", required=("model", "qubits"))
+    model, qubits = block["model"], block["qubits"]
+    block["params"] = check_params(model, block["params"])
+    modes = _MODELS[model][2]
+    if len(qubits) != modes or len(set(qubits)) > 1:
+        raise ConfigError(f"{model} takes {modes} equal qubit count(s), not {qubits}")
+    if sum(qubits) > MAX_QUBITS:
+        raise ConfigError(f"{model} on qubits {qubits} exceeds the limit of {MAX_QUBITS} "
+                          f"qubits in total (a {2**MAX_QUBITS}x{2**MAX_QUBITS} matrix)")
+    return block
 
 
 def build_model(config: dict) -> tuple[np.ndarray, dict]:
     """Assemble a Hamiltonian from {"model", "params", "qubits", "basis"}.
 
     Returns the matrix plus the fully resolved configuration (defaults filled
-    in), which callers embed in their output artifacts.
+    in), which callers embed in their output artifacts. The configuration is
+    checked, and the qubit limit applied, before any matrix is allocated.
     """
-    allowed = {"model", "params", "qubits", "basis"}
-    unknown = set(config) - allowed
-    if unknown:
-        raise ConfigError(f"unknown model-config keys: {sorted(unknown)}")
-    model = config.get("model")
-    qubits = config.get("qubits")
-    basis_name = config.get("basis", "oscillator")
-    if basis_name not in _BASIS_NAMES:
-        raise ConfigError(f"unknown basis {basis_name!r}; known: {sorted(_BASIS_NAMES)}")
-    basis = _BASIS_NAMES[basis_name]
-    if not isinstance(qubits, (list, tuple)) or not qubits or not all(
-        isinstance(q, int) and q >= 1 for q in qubits
-    ):
-        raise ConfigError("qubits must be a non-empty list of positive integers")
-
-    params, kind = params_from_dict(model, config.get("params"))
-
-    one_mode = {"starobinsky", "dark_energy_1r", "minisuperspace"}
-    if model in one_mode and len(qubits) != 1:
-        raise ConfigError(f"{model} takes a single qubit count")
-    if model not in one_mode and len(qubits) != 2:
-        raise ConfigError(f"{model} takes two qubit counts")
-    if model not in one_mode and qubits[0] != qubits[1]:
-        raise ConfigError(f"{model} uses equal qubits per mode")
-
-    if model == "starobinsky":
-        h = starobinsky_hamiltonian(params, qubits[0], basis)
-    elif model == "dark_energy_1r":
-        h = dark_energy_single_radius(params, qubits[0], basis)
-    elif model == "dark_energy_2r":
-        h = dark_energy_two_radius(params, qubits[0], basis)
-    elif model == "dark_matter_1":
-        h = dark_matter_model_one(params, qubits[0], basis)
-    elif model == "dark_matter_2":
-        h = dark_matter_model_two(params, qubits[0], basis)
-    else:
-        h = minisuperspace_hamiltonian(kind, params, qubits[0], basis)
-
-    resolved_params = {f: getattr(params, f) for f in params.__dataclass_fields__}
-    if kind is not None:
-        resolved_params["kind"] = kind.value
-    resolved = {
-        "model": model,
-        "params": resolved_params,
-        "qubits": list(qubits),
-        "basis": basis.value,
-    }
+    resolved = check_model(config)
+    model, n, basis = resolved["model"], resolved["qubits"][0], BasisKind(resolved["basis"])
+    params, kind = params_from_dict(model, resolved["params"])
+    builder = _MODELS[model][1]
+    with np.errstate(all="ignore"):  # require_finite reports a non-finite result
+        h = builder(kind, params, n, basis) if kind else builder(params, n, basis)
     return h, resolved
+

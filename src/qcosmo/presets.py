@@ -12,95 +12,33 @@ import copy
 
 from .errors import ConfigError
 
+def _table(model: str, qubits: list[int], **vqe) -> dict:
+    # params and basis stay spelled out: benchmarks/workloads.py indexes them
+    return {"model": model, "params": {}, "qubits": qubits, "basis": "oscillator",
+            "vqe": {"budget": 2000, **vqe}}
+
+
+# each preset states only what differs from the defaults of config.check_run
 PRESETS: dict[str, dict] = {
-    "table1": {
-        "model": "starobinsky",
-        "params": {},
-        "qubits": [4],
-        "basis": "oscillator",
-        "vqe": {"reps": 3, "optimizer": "gradient-descent", "budget": 2000, "seed": 0},
-    },
-    "table2-4q": {
-        "model": "dark_energy_1r",
-        "params": {},
-        "qubits": [4],
-        "basis": "oscillator",
-        "vqe": {"reps": 3, "optimizer": "gradient-descent", "budget": 2000, "seed": 0},
-    },
-    "table2-5q": {
-        "model": "dark_energy_1r",
-        "params": {},
-        "qubits": [5],
-        "basis": "oscillator",
-        "vqe": {"reps": 3, "optimizer": "gradient-descent", "budget": 2000, "seed": 0},
-    },
-    "table2-6q": {
-        "model": "dark_energy_1r",
-        "params": {},
-        "qubits": [6],
-        "basis": "oscillator",
-        "vqe": {"reps": 3, "optimizer": "gradient-descent", "budget": 2000, "seed": 0},
-    },
-    "table3": {
-        "model": "dark_energy_2r",
-        "params": {},
-        "qubits": [4, 4],
-        "basis": "oscillator",
-        "vqe": {"reps": 3, "optimizer": "gradient-descent", "budget": 2000, "seed": 0},
-    },
-    "table4-16": {
-        "model": "dark_matter_1",
-        "params": {},
-        "qubits": [2, 2],
-        "basis": "oscillator",
-        "vqe": {"reps": 3, "optimizer": "gradient-descent", "budget": 2000, "seed": 0},
-    },
-    "table4-64": {
-        "model": "dark_matter_1",
-        "params": {},
-        "qubits": [3, 3],
-        "basis": "oscillator",
-        "vqe": {"reps": 5, "optimizer": "gradient-descent", "budget": 5000, "seed": 0},
-    },
-    "table4-256": {
-        "model": "dark_matter_1",
-        "params": {},
-        "qubits": [4, 4],
-        "basis": "oscillator",
-        "vqe": {"reps": 5, "optimizer": "gradient-descent", "budget": 5000, "seed": 0},
-    },
-    "table5": {
-        "model": "dark_matter_2",
-        "params": {},
-        "qubits": [4, 4],
-        "basis": "oscillator",
-        "vqe": {"reps": 5, "optimizer": "gradient-descent", "budget": 5000, "seed": 0},
-    },
-    "fig13": {
-        "eoh": {
-            "kind": "interval",
-            "n_qubits": 5,
-            "x0_index": 16,
-            "tau_list": [0.0, 0.05, 0.1, 0.2],
-            "steps": 64,
-            "order": 2,
-        },
-    },
+    "table1": _table("starobinsky", [4]),
+    "table2-4q": _table("dark_energy_1r", [4]),
+    "table2-5q": _table("dark_energy_1r", [5]),
+    "table2-6q": _table("dark_energy_1r", [6]),
+    "table3": _table("dark_energy_2r", [4, 4]),
+    "table4-16": _table("dark_matter_1", [2, 2]),
+    "table4-64": _table("dark_matter_1", [3, 3], reps=5, budget=5000),
+    "table4-256": _table("dark_matter_1", [4, 4], reps=5, budget=5000),
+    "table5": _table("dark_matter_2", [4, 4], reps=5, budget=5000),
+    "fig13": {"eoh": {"tau_list": [0.0, 0.05, 0.1, 0.2]}},
     "fig16": {
         "eoh": {
             "kind": "double-well",
-            "n_qubits": 5,
             "tau_list": [0.0, 0.5, 1.0, 2.0],
             "steps": 128,
-            "order": 2,
-            "center": -1.5,
-            "width": 0.35,
             "params": {"Lambda": -0.5, "k_curv": -2.5, "v_volume": 1.0},
         },
     },
-    "tunneling": {
-        "tunneling": {"model": "dark_energy_1r", "params": {}, "guess": 5.0},
-    },
+    "tunneling": {"tunneling": {}},
 }
 
 # reference values for the side-by-side comparison tables

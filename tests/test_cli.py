@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qcosmo import cli
+from qcosmo import cli, models
 
 
 def run(argv):
@@ -179,3 +184,107 @@ def test_qubit_and_basis_overrides(tmp_path):
     payload = read_json(tmp_path / "exact.json")
     assert payload["dim"] == 32
     assert payload["exact_ground"] == pytest.approx(0.00285585, rel=1e-5)
+
+
+LIMIT = models.MAX_QUBITS
+STARO = {"model": "starobinsky", "qubits": [2]}
+
+
+@pytest.mark.parametrize(
+    "command, config, code",
+    [
+        pytest.param("vqe", {**STARO, "vqe": {"budget": "abc"}}, 2, id="budget-str"),
+        pytest.param("exact", {**STARO, "params": {"M1_4": "x"}}, 2, id="param-str"),
+        pytest.param("exact", {**STARO, "params": {"M2": 0}}, 1, id="param-nan"),
+        pytest.param("exact", {"model": "dark_matter_1", "qubits": [1, 1],
+                               "params": {"a_scale": 0}}, 1, id="param-zero-division"),
+        pytest.param("vqe", {**STARO, "vqe": {"reps": 0}}, 2, id="reps-0"),
+        pytest.param("eoh", {"eoh": {"steps": 0}}, 2, id="steps-0"),
+        pytest.param("exact", {"model": "starobinsky", "qubits": [True]}, 2, id="qubit-bool"),
+        pytest.param("eoh", {"eoh": {"n_qubits": "a"}}, 2, id="n_qubits-str"),
+        pytest.param("vqe", {**STARO, "vqe": {"rotations": "ry"}}, 2, id="rotations-str"),
+        pytest.param("exact", {"model": "starobinsky", "qubits": [LIMIT + 1]}, 2,
+                     id="qubits-over-limit"),
+        pytest.param("exact", {"model": "dark_matter_1", "qubits": [LIMIT // 2 + 1] * 2}, 2,
+                     id="modes-over-limit"),
+        pytest.param("eoh", {"eoh": {"n_qubits": LIMIT + 1}}, 2, id="n_qubits-over-limit"),
+        pytest.param("exact", {**STARO, "out": "elsewhere"}, 2, id="out-key"),
+        pytest.param("exact", {**STARO, "seed": 1}, 2, id="seed-key"),
+        pytest.param("eoh", {"eoh": {"kind": "double-well", "params": {"kind": "morse-s2"}}},
+                     2, id="eoh-params-kind"),
+    ],
+)
+def test_exit_codes(tmp_path, capsys, recwarn, command, config, code):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run([command, "--config", str(cfg), "--out", str(tmp_path)]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    # outside pytest a warning would print more lines to stderr
+    assert [str(w.message) for w in recwarn] == []
+
+
+def test_eoh_embeds_resolved_block(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"eoh": {"n_qubits": 3}}))
+    assert run(["eoh", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    block = read_json(tmp_path / "eoh.json")["config"]["eoh"]
+    assert block["x0_index"] == 4 and block["steps"] == 64 and block["kind"] == "interval"
+
+
+# Random configs stay small: at most 3 qubits per mode and a VQE budget of at
+# most 20. Larger sizes appear only as counts the qubit limit refuses. Each
+# config is valid apart from at most one key set to an arbitrary value.
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.floats(), st.text(max_size=3),
+    st.lists(st.integers(-1, 3), max_size=2), st.just({"k": 1}),
+    st.integers(LIMIT + 1, 10**6).map(lambda q: [q]),
+)
+_MUTABLE = (
+    [None]  # no change, a valid config
+    # a zero M2, c, mu2 or a_scale divides by zero, and 1e100 overflows: exit 1
+    + [("params", k) for k in ("M2", "c", "mu2", "a_scale", "g_X", "kind", "bogus")]
+    + [(None, k) for k in ("model", "qubits", "basis", "params", "vqe", "eoh", "out", "seed")]
+    + [("vqe", k) for k in ("reps", "rotations", "optimizer", "budget", "tol", "seed", "bogus")]
+    + [("eoh", k) for k in ("kind", "n_qubits", "x0_index", "tau_list", "steps", "order",
+                            "center", "width", "params")]
+)
+
+
+@st.composite
+def _configs(draw):
+    model = draw(st.sampled_from(["starobinsky", "dark_energy_1r", "dark_energy_2r",
+                                  "dark_matter_1", "dark_matter_2"]))
+    q = draw(st.integers(1, 3))
+    config = {
+        "model": model,
+        "qubits": [q] if model in models.SINGLE_FIELD_POTENTIALS else [q, q],
+        "basis": draw(st.sampled_from(["oscillator", "position"])),
+        "vqe": {"budget": draw(st.integers(1, 20)), "reps": draw(st.integers(1, 2)),
+                "optimizer": draw(st.sampled_from(["cobyla", "nelder-mead"])),
+                "seed": draw(st.integers(0, 5))},
+        "eoh": {"kind": draw(st.sampled_from(["interval", "double-well"])),
+                "n_qubits": draw(st.integers(1, 3)), "steps": draw(st.integers(1, 4)),
+                "tau_list": draw(st.lists(st.floats(-1, 1), max_size=2))},
+    }
+    mutation = draw(st.sampled_from(_MUTABLE))
+    if mutation is not None:
+        block, key = mutation
+        edge = st.sampled_from([0.0, 1e100]) if block == "params" else st.nothing()
+        target = config if block is None else config.setdefault(block, {})
+        target[key] = draw(st.one_of(edge, _JUNK))
+    return config
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(command=st.sampled_from(["exact", "vqe", "eoh"]), config=_configs())
+def test_random_configs_exit_cleanly(command, config):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run([command, "--config", str(cfg), "--out", tmp])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

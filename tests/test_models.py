@@ -325,3 +325,14 @@ def test_build_model_minisuperspace_needs_kind():
     )
     assert h.shape == (8, 8)
     assert resolved["params"]["kind"] == "kantowski-sachs"
+
+
+def test_qubit_limit_refused_before_any_matrix(monkeypatch):
+    def no_matrix(*args):
+        raise AssertionError("a matrix was built")
+
+    monkeypatch.setattr(models, "build_position", no_matrix)
+    monkeypatch.setattr(models, "build_momentum_squared", no_matrix)
+    over = models.MAX_QUBITS // 2 + 1
+    with pytest.raises(ConfigError, match=f"limit of {models.MAX_QUBITS}"):
+        models.build_model({"model": "dark_matter_1", "qubits": [over, over]})
