@@ -5,17 +5,3 @@ decomposition, statevector circuit simulation, variational ground-state
 search, Trotterized fifth-time evolution, closed-form Wheeler-DeWitt
 analytics, and metastable-vacuum lifetimes.
 """
-
-from . import bases, circuits, evolution, models, optimizers, pauli, tunneling, vqe, wdw
-
-__all__ = [
-    "bases",
-    "circuits",
-    "evolution",
-    "models",
-    "optimizers",
-    "pauli",
-    "tunneling",
-    "vqe",
-    "wdw",
-]

@@ -1,6 +1,6 @@
 """Exact statevector simulation of parameterized circuits.
 
-Gate set: Ry/Rz rotations (slot-indexed parameters), CNOT, and X. Rotation
+Gate set: Ry/Rz rotations (slot-indexed parameters) and CNOT. Rotation
 conventions are Ry(t) = exp(-i t Y / 2), Rz(t) = exp(-i t Z / 2). Qubit 0 is
 the leftmost tensor factor, i.e. the most significant bit of the state index.
 """
@@ -17,7 +17,7 @@ from .bases import require_hermitian
 
 
 class Gate(NamedTuple):
-    name: str          # "ry" | "rz" | "cnot" | "x"
+    name: str          # "ry" | "rz" | "cnot"
     qubit: int
     target: int = -1   # cnot target
     slot: int = -1     # parameter slot for rotations
@@ -43,20 +43,14 @@ class Circuit:
         self.gates.append(Gate("cnot", control, target=target))
         return self
 
-    def x(self, qubit: int) -> "Circuit":
-        self.gates.append(Gate("x", qubit))
-        return self
-
     def dump(self) -> str:
         """Debug listing, one gate per line: ``RY q0 p3`` / ``CNOT q0 q1``."""
         lines = []
         for g in self.gates:
             if g.name in ("ry", "rz"):
                 lines.append(f"{g.name.upper()} q{g.qubit} p{g.slot}")
-            elif g.name == "cnot":
-                lines.append(f"CNOT q{g.qubit} q{g.target}")
             else:
-                lines.append(f"X q{g.qubit}")
+                lines.append(f"CNOT q{g.qubit} q{g.target}")
         return "\n".join(lines)
 
 
@@ -75,6 +69,8 @@ class AnsatzSpec:
     def __post_init__(self):
         if self.reps < 1:
             raise ShapeError("reps must be >= 1")
+        if not self.rotations:
+            raise ShapeError("rotations must not be empty")
         if self.entanglement != "full":
             raise ShapeError("only full entanglement is implemented")
         for r in self.rotations:
@@ -145,9 +141,6 @@ def apply_circuit(circuit: Circuit, params, init: np.ndarray | None = None) -> n
         elif g.name == "rz":
             t = params[g.slot]
             u = np.array([[np.exp(-1j * t / 2), 0], [0, np.exp(1j * t / 2)]])
-            psi = _apply_single(psi, n, g.qubit, u)
-        elif g.name == "x":
-            u = np.array([[0, 1], [1, 0]], dtype=complex)
             psi = _apply_single(psi, n, g.qubit, u)
         elif g.name == "cnot":
             psi = _apply_cnot(psi, n, g.qubit, g.target)

@@ -10,6 +10,7 @@ import sys
 
 from . import evolution, models
 from .circuits import ROTATIONS, AnsatzSpec
+from .errors import ConfigError
 from .vqe import OptimizerConfig, OptimizerKind
 
 _AT_LEAST_ONE = range(1, sys.maxsize)
@@ -52,6 +53,8 @@ def check_run(config: dict) -> dict:
     run = models.check_block(config, _RUN_SCHEMA, "config")
     if run["model"] is not None:
         run.update(models.check_model({k: run[k] for k in models.MODEL_SCHEMA}))
+    if not run["vqe"]["rotations"]:
+        raise ConfigError("config.vqe.rotations must be a non-empty list, not []")
     eoh, tun = run["eoh"], run["tunneling"]
     if eoh is not None:
         grid = range(2 ** eoh["n_qubits"])

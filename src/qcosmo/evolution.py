@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bases import BasisKind, build_momentum_squared, build_position, require_hermitian
-from .errors import ShapeError
+from .errors import DomainError, ShapeError
 from .models import MinisuperspaceKind, MinisuperspaceParams, minisuperspace_v_eff
 
 
@@ -145,17 +145,12 @@ def split_even_odd(h: np.ndarray) -> list[np.ndarray]:
     Trotter product measurable.
     """
     h = require_hermitian(np.asarray(h, dtype=complex))
-    n = h.shape[0]
     even = np.diag(np.diagonal(h)) / 2.0
-    odd = np.diag(np.diagonal(h)) / 2.0
-    for i in range(n - 1):
-        block = np.zeros_like(h)
-        block[i, i + 1] = h[i, i + 1]
-        block[i + 1, i] = h[i + 1, i]
-        if i % 2 == 0:
-            even = even + block
-        else:
-            odd = odd + block
+    odd = even.copy()
+    for part, first in ((even, 0), (odd, 1)):
+        i = np.arange(first, h.shape[0] - 1, 2)
+        part[i, i + 1] = h[i, i + 1]
+        part[i + 1, i] = h[i + 1, i]
     return [even, odd]
 
 
@@ -202,8 +197,14 @@ def interval_propagation_profile(
 
 
 def gaussian_on_grid(grid: np.ndarray, center: float, width: float) -> np.ndarray:
-    psi = np.exp(-((grid - center) ** 2) / (4.0 * width**2)).astype(complex)
-    return psi / np.linalg.norm(psi)
+    """Normalized Gaussian amplitudes; DomainError if none survive on the grid."""
+    with np.errstate(all="ignore"):
+        psi = np.exp(-((grid - center) ** 2) / (4.0 * width**2)).astype(complex)
+        norm = np.linalg.norm(psi)
+    if not (np.isfinite(norm) and norm > 0.0):
+        raise DomainError(f"Gaussian with center {center} and width {width} has norm {norm} "
+                          "on the grid")
+    return psi / norm
 
 
 def double_well_parts(

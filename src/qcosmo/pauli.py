@@ -103,17 +103,9 @@ def _n_qubits_of(dim: int) -> int:
     return n
 
 
-def _pauli_transform(mat: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Apply the per-qubit 4x4 kernel along every qubit axis."""
-    n = _n_qubits_of(mat.shape[0]) if mat.ndim == 2 else mat.ndim
-    if mat.ndim == 2:
-        t = mat.reshape((2,) * (2 * n))
-        # interleave (row_q, col_q) pairs then merge each pair into one axis
-        order = [ax for q in range(n) for ax in (q, n + q)]
-        t = t.transpose(order).reshape((4,) * n)
-    else:
-        t = mat
-    for ax in range(n):
+def _pauli_transform(t: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Apply the per-qubit 4x4 kernel along every axis of a (4,) * n tensor."""
+    for ax in range(t.ndim):
         t = np.moveaxis(np.tensordot(kernel, t, axes=([1], [ax])), 0, ax)
     return t
 
@@ -123,7 +115,10 @@ def decompose(h: np.ndarray, zero_tol: float = 1e-12) -> PauliSum:
     h = np.asarray(h, dtype=complex)
     n = _n_qubits_of(h.shape[0])
     require_hermitian(h)
-    coeffs = _pauli_transform(h, _W).reshape(-1) / h.shape[0]
+    # interleave (row_q, col_q) pairs then merge each pair into one axis
+    order = [ax for q in range(n) for ax in (q, n + q)]
+    t = h.reshape((2,) * (2 * n)).transpose(order).reshape((4,) * n)
+    coeffs = _pauli_transform(t, _W).reshape(-1) / h.shape[0]
     max_imag = np.max(np.abs(coeffs.imag)) if coeffs.size else 0.0
     if max_imag > 1e-10 * max(1.0, np.max(np.abs(coeffs))):
         raise HermiticityError(f"complex Pauli coefficient ({max_imag:.3e}) from Hermitian input")
@@ -168,15 +163,6 @@ def _term_masks(label: str) -> tuple[int, int, int, complex]:
     return flip, y_mask, z_mask, 1j**ny
 
 
-def _popcount(arr: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(arr)
-    work = arr.copy()
-    while np.any(work):
-        out += work & 1
-        work >>= 1
-    return out
-
-
 def expectation(s: PauliSum, psi: np.ndarray) -> float:
     """<psi| sum_t c_t P_t |psi>, evaluated term by term with bit masks.
 
@@ -193,7 +179,7 @@ def expectation(s: PauliSum, psi: np.ndarray) -> float:
     total = 0.0 + 0.0j
     for t in s.terms:
         flip, y_mask, z_mask, phase0 = _term_masks(t.label)
-        signs = (-1.0) ** _popcount(j & (y_mask | z_mask))
+        signs = (-1.0) ** np.bitwise_count(j & (y_mask | z_mask))
         amp = phase0 * signs
         total += t.coeff * np.vdot(psi[j ^ flip], amp * psi)
     return float(total.real)

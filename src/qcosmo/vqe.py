@@ -10,7 +10,7 @@ import numpy as np
 
 from . import optimizers, pauli
 from .bases import require_hermitian
-from .circuits import AnsatzSpec, apply_circuit, efficient_su2_ansatz, expectation_dense
+from .circuits import AnsatzSpec, apply_circuit, efficient_su2_ansatz
 from .errors import ShapeError
 
 
@@ -60,25 +60,22 @@ def exact_ground(h: np.ndarray) -> tuple[float, np.ndarray]:
 def run_vqe(hamiltonian, ansatz: AnsatzSpec, opt: OptimizerConfig) -> VqeResult:
     """Minimize the circuit expectation value of ``hamiltonian``.
 
-    ``hamiltonian`` may be a dense Hermitian matrix or a PauliSum; initial
+    ``hamiltonian`` may be a dense Hermitian matrix or a PauliSum, which is
+    turned into its matrix once; H is checked once, before the loop. Initial
     parameters are drawn uniformly from [-pi, pi) with the seeded generator,
     so a fixed (seed, optimizer, budget) triple reproduces the run exactly.
     The returned trace holds the best-so-far energy at each evaluation.
     """
     circuit = efficient_su2_ansatz(ansatz)
     if isinstance(hamiltonian, pauli.PauliSum):
-        if hamiltonian.n_qubits != ansatz.n_qubits:
-            raise ShapeError("hamiltonian and ansatz qubit counts differ")
+        hamiltonian = pauli.reconstruct(hamiltonian)
+    h = require_hermitian(np.asarray(hamiltonian, dtype=complex))
+    if h.shape[0] != 2**ansatz.n_qubits:
+        raise ShapeError("hamiltonian and ansatz dimensions differ")
 
-        def energy(theta):
-            return pauli.expectation(hamiltonian, apply_circuit(circuit, theta))
-    else:
-        h = require_hermitian(np.asarray(hamiltonian, dtype=complex))
-        if h.shape[0] != 2**ansatz.n_qubits:
-            raise ShapeError("hamiltonian and ansatz dimensions differ")
-
-        def energy(theta):
-            return expectation_dense(h, apply_circuit(circuit, theta))
+    def energy(theta):
+        psi = apply_circuit(circuit, theta)
+        return float(np.vdot(psi, h @ psi).real)
 
     # budgets below n_params + 1 cannot converge but still yield a valid
     # partial result (converged=False)

@@ -18,8 +18,6 @@ def dense_unitary(circuit, params):
         elif g.name == "rz":
             t = params[g.slot]
             u = np.diag([np.exp(-1j * t / 2), np.exp(1j * t / 2)])
-        elif g.name == "x":
-            u = np.array([[0, 1], [1, 0]], dtype=complex)
         elif g.name == "cnot":
             full = np.zeros((dim, dim), dtype=complex)
             for idx in range(dim):
@@ -137,5 +135,11 @@ def test_param_count_mismatch():
 
 
 def test_dump_format():
-    c = Circuit(2).ry(0).rz(1).cnot(0, 1).x(1)
-    assert c.dump().splitlines() == ["RY q0 p0", "RZ q1 p1", "CNOT q0 q1", "X q1"]
+    c = Circuit(2).ry(0).rz(1).cnot(0, 1)
+    assert c.dump().splitlines() == ["RY q0 p0", "RZ q1 p1", "CNOT q0 q1"]
+
+
+@pytest.mark.parametrize("kwargs", [{"reps": 0}, {"rotations": ()}, {"rotations": ("rx",)}])
+def test_ansatz_spec_rejects(kwargs):
+    with pytest.raises(ShapeError):
+        AnsatzSpec(2, **kwargs)

@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -203,6 +206,11 @@ STARO = {"model": "starobinsky", "qubits": [2]}
         pytest.param("exact", {"model": "starobinsky", "qubits": [True]}, 2, id="qubit-bool"),
         pytest.param("eoh", {"eoh": {"n_qubits": "a"}}, 2, id="n_qubits-str"),
         pytest.param("vqe", {**STARO, "vqe": {"rotations": "ry"}}, 2, id="rotations-str"),
+        pytest.param("vqe", {**STARO, "vqe": {"rotations": []}}, 2, id="rotations-empty"),
+        pytest.param("eoh", {"eoh": {"kind": "double-well", "n_qubits": 3, "width": 0.0}}, 1,
+                     id="gaussian-width-0"),
+        pytest.param("eoh", {"eoh": {"kind": "double-well", "n_qubits": 3, "center": 1e3}}, 1,
+                     id="gaussian-off-grid"),
         pytest.param("exact", {"model": "starobinsky", "qubits": [LIMIT + 1]}, 2,
                      id="qubits-over-limit"),
         pytest.param("exact", {"model": "dark_matter_1", "qubits": [LIMIT // 2 + 1] * 2}, 2,
@@ -223,6 +231,21 @@ def test_exit_codes(tmp_path, capsys, recwarn, command, config, code):
     assert len(err.strip().splitlines()) == 1
     # outside pytest a warning would print more lines to stderr
     assert [str(w.message) for w in recwarn] == []
+
+
+def test_empty_rotations_message_names_key(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**STARO, "vqe": {"rotations": []}}))
+    assert run(["vqe", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "config.vqe.rotations" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    code = "import sys, qcosmo.cli; print('scipy.integrate' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_eoh_embeds_resolved_block(tmp_path):

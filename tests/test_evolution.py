@@ -99,6 +99,33 @@ def test_split_even_odd_sums_and_does_not_commute():
     assert np.max(np.abs(even @ odd - odd @ even)) > 1.0
 
 
+def _split_even_odd_per_bond(h):
+    """The per-bond loop that split_even_odd replaced, kept as its oracle."""
+    even = np.diag(np.diagonal(h)) / 2.0
+    odd = np.diag(np.diagonal(h)) / 2.0
+    for i in range(h.shape[0] - 1):
+        block = np.zeros_like(h)
+        block[i, i + 1] = h[i, i + 1]
+        block[i + 1, i] = h[i + 1, i]
+        if i % 2 == 0:
+            even = even + block
+        else:
+            odd = odd + block
+    return [even, odd]
+
+
+@pytest.mark.parametrize("n_qubits", range(1, 9))
+def test_split_even_odd_matches_per_bond_loop(n_qubits):
+    rng = np.random.default_rng(n_qubits)
+    dim = 2**n_qubits
+    bonds = np.diag(rng.normal(size=dim - 1) + 1j * rng.normal(size=dim - 1), 1)
+    tridiagonal = np.diag(rng.normal(size=dim)) + bonds + bonds.conj().T
+    for h in (free_interval_hamiltonian(n_qubits), tridiagonal):
+        h = np.asarray(h, dtype=complex)
+        for new, old in zip(split_even_odd(h), _split_even_odd_per_bond(h)):
+            assert np.array_equal(new, old)
+
+
 @pytest.mark.parametrize("order,target", [(1, -1.0), (2, -2.0)])
 def test_trotter_error_slopes(order, target):
     h = free_interval_hamiltonian(5)

@@ -64,6 +64,15 @@ def test_roundtrip_model_one():
     assert np.max(np.abs(back - h)) <= 1e-10
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_reconstruct_matches_kron_sum(n):
+    rng = np.random.default_rng(n)
+    terms = [pauli.PauliTerm(float(rng.normal()), label)
+             for label in sorted({"".join(rng.choice(list("IXYZ"), n)) for _ in range(12)})]
+    ref = sum(t.coeff * kron_all([pauli.PAULI_MATRICES[c] for c in t.label]) for t in terms)
+    assert np.max(np.abs(pauli.reconstruct(pauli.PauliSum(n, terms)) - ref)) <= 1e-12
+
+
 def test_reconstruct_empty_and_single():
     assert np.max(np.abs(pauli.reconstruct(pauli.PauliSum(2, [])))) == 0.0
     s = pauli.PauliSum(2, [pauli.PauliTerm(2.0, "ZZ")])

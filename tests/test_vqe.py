@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from qcosmo import models, pauli, vqe
-from qcosmo.circuits import AnsatzSpec
+from qcosmo import circuits, models, pauli, vqe
+from qcosmo.bases import require_hermitian
+from qcosmo.circuits import AnsatzSpec, apply_circuit, efficient_su2_ansatz, expectation_dense
 from qcosmo.errors import HermiticityError
 from qcosmo.vqe import OptimizerConfig, OptimizerKind
 
@@ -78,6 +79,49 @@ def test_pauli_sum_input_agrees_with_dense():
     summed = vqe.run_vqe(s, AnsatzSpec(2, reps=1), cfg)
     assert dense.energy == pytest.approx(summed.energy, abs=1e-9)
     assert [e for _, e in dense.trace] == pytest.approx([e for _, e in summed.trace], abs=1e-9)
+
+
+def test_pauli_sum_is_reconstructed_once(monkeypatch):
+    s = pauli.decompose(models.starobinsky_hamiltonian(models.StarobinskyParams(), 2))
+    calls = []
+    reconstruct = pauli.reconstruct
+    monkeypatch.setattr(pauli, "reconstruct", lambda x: calls.append(x) or reconstruct(x))
+
+    def no_expectation(*args):
+        raise AssertionError("pauli.expectation called inside run_vqe")
+
+    monkeypatch.setattr(pauli, "expectation", no_expectation)
+    res = vqe.run_vqe(s, AnsatzSpec(2, reps=1), OptimizerConfig(budget=30, seed=2))
+    assert calls == [s] and res.n_evals > 1
+
+
+@pytest.mark.parametrize("budget", [1, 40])
+def test_hamiltonian_checked_once_per_run(monkeypatch, budget):
+    h = models.starobinsky_hamiltonian(models.StarobinskyParams(), 2)
+    calls = []
+
+    def counting(op, *args, **kwargs):
+        calls.append(op.shape)
+        return require_hermitian(op, *args, **kwargs)
+
+    monkeypatch.setattr(vqe, "require_hermitian", counting)
+    monkeypatch.setattr(circuits, "require_hermitian", counting)
+    res = vqe.run_vqe(h, AnsatzSpec(2, reps=1), OptimizerConfig(budget=budget, seed=0))
+    assert res.n_evals == budget and calls == [(4, 4)]
+
+
+@pytest.mark.parametrize("kind", list(OptimizerKind))
+def test_dense_trace_matches_expectation_dense_oracle(kind):
+    """run_vqe's energy is the formula of the checked expectation_dense, bit for bit."""
+    h = models.starobinsky_hamiltonian(models.StarobinskyParams(), 3)
+    spec, cfg = AnsatzSpec(3, reps=2), OptimizerConfig(kind=kind, budget=80, seed=5)
+    circuit = efficient_su2_ansatz(spec)
+    theta0 = np.random.default_rng(cfg.seed).uniform(-np.pi, np.pi, circuit.n_params)
+    ref = vqe._MINIMIZERS[kind](lambda theta: expectation_dense(h, apply_circuit(circuit, theta)),
+                                theta0, budget=cfg.budget, tol=cfg.tol)
+    res = vqe.run_vqe(h, spec, cfg)
+    assert [e for _, e in res.trace] == list(np.minimum.accumulate(ref.history))
+    assert res.energy == ref.fun and np.array_equal(res.params, ref.x)
 
 
 def test_budget_one_gives_partial_result():
