@@ -28,6 +28,8 @@ class Circuit:
     n_qubits: int
     gates: list[Gate] = field(default_factory=list)
     n_params: int = 0
+    # (key, plan) from the last apply_circuit; see _plan_of
+    _plan: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def ry(self, qubit: int) -> "Circuit":
         self.gates.append(Gate("ry", qubit, slot=self.n_params))
@@ -103,11 +105,6 @@ def zero_state(n_qubits: int) -> np.ndarray:
     return psi
 
 
-def _apply_single(psi: np.ndarray, n: int, q: int, u: np.ndarray) -> np.ndarray:
-    t = psi.reshape(2**q, 2, -1)
-    return np.einsum("ab,ibj->iaj", u, t).reshape(-1)
-
-
 def _apply_cnot(psi: np.ndarray, n: int, control: int, target: int) -> np.ndarray:
     t = psi.reshape((2,) * n).copy()
     ctrl_one = np.take(t, 1, axis=control)
@@ -119,8 +116,64 @@ def _apply_cnot(psi: np.ndarray, n: int, control: int, target: int) -> np.ndarra
     return t.reshape(-1)
 
 
+class _Plan(NamedTuple):
+    """A gate list compiled for ``apply_circuit``.
+
+    ``ry``/``rz`` hold the parameter slots of each rotation kind. ``chains``
+    is an (F, L) array: row f lists, in gate order, the slots whose 2x2s fuse
+    into the f-th single-qubit unitary, padded with the identity slot
+    ``n_params``. ``steps`` runs in order; a step is either ``(shape, f,
+    None)``, fused unitary f on the ``(2**q, 2, 2**(n-q-1))`` view of the
+    state, or ``(None, -1, perm)``, a run of CNOTs as one gather
+    ``psi[perm]``.
+    """
+
+    ry: np.ndarray
+    rz: np.ndarray
+    chains: np.ndarray
+    steps: list
+
+
+def _compile(circuit: Circuit) -> _Plan:
+    n = circuit.n_qubits
+    ry, rz, chains, steps = [], [], [], []
+    run: dict[int, list[int]] = {}  # qubit -> its slots in the current rotation run
+    for g in circuit.gates:
+        if g.name == "cnot":
+            run = {}
+            if not steps or steps[-1][2] is None:
+                steps.append((None, -1, np.arange(2**n)))
+            steps[-1] = (None, -1, _apply_cnot(steps[-1][2], n, g.qubit, g.target))
+        elif g.name in ROTATIONS:
+            (ry if g.name == "ry" else rz).append(g.slot)
+            if g.qubit not in run:
+                run[g.qubit] = []
+                chains.append(run[g.qubit])
+                steps.append(((2**g.qubit, 2, 2 ** (n - g.qubit - 1)), len(chains) - 1, None))
+            run[g.qubit].append(g.slot)
+        else:
+            raise ShapeError(f"unknown gate {g.name!r}")
+    width = max(map(len, chains), default=1)
+    padded = [c + [circuit.n_params] * (width - len(c)) for c in chains]
+    return _Plan(np.array(ry, dtype=np.intp), np.array(rz, dtype=np.intp),
+                 np.array(padded, dtype=np.intp).reshape(len(chains), width), steps)
+
+
+def _plan_of(circuit: Circuit) -> _Plan:
+    """The circuit's compiled plan, rebuilt whenever its gate list changed."""
+    key = (circuit.n_qubits, tuple(circuit.gates))
+    if circuit._plan is None or circuit._plan[0] != key:
+        circuit._plan = (key, _compile(circuit))
+    return circuit._plan[1]
+
+
 def apply_circuit(circuit: Circuit, params, init: np.ndarray | None = None) -> np.ndarray:
-    """Run the circuit on ``init`` (default |0...0>) and return the state."""
+    """Run the circuit on ``init`` (default |0...0>) and return the state.
+
+    The gate list is compiled once into a plan cached on the circuit: each
+    run of rotations becomes one fused 2x2 per touched qubit, and each run
+    of CNOTs one index permutation.
+    """
     params = np.asarray(params, dtype=float)
     if params.shape != (circuit.n_params,):
         raise ShapeError(
@@ -130,22 +183,22 @@ def apply_circuit(circuit: Circuit, params, init: np.ndarray | None = None) -> n
     psi = zero_state(n) if init is None else np.array(init, dtype=complex)
     if psi.shape != (2**n,):
         raise ShapeError(f"initial state has wrong length {psi.shape}")
-    for g in circuit.gates:
-        if g.name == "ry":
-            t = params[g.slot]
-            u = np.array(
-                [[np.cos(t / 2), -np.sin(t / 2)], [np.sin(t / 2), np.cos(t / 2)]],
-                dtype=complex,
-            )
-            psi = _apply_single(psi, n, g.qubit, u)
-        elif g.name == "rz":
-            t = params[g.slot]
-            u = np.array([[np.exp(-1j * t / 2), 0], [0, np.exp(1j * t / 2)]])
-            psi = _apply_single(psi, n, g.qubit, u)
-        elif g.name == "cnot":
-            psi = _apply_cnot(psi, n, g.qubit, g.target)
+    plan = _plan_of(circuit)
+    half = params / 2
+    u = np.zeros((circuit.n_params + 1, 2, 2), dtype=complex)  # one 2x2 per slot
+    u[-1] = np.eye(2)
+    c, s = np.cos(half[plan.ry]), np.sin(half[plan.ry])
+    u[plan.ry] = np.stack([c, -s, s, c], axis=-1).reshape(-1, 2, 2)
+    e = np.exp(-1j * half[plan.rz])
+    u[plan.rz, 0, 0], u[plan.rz, 1, 1] = e, e.conj()
+    fused = u[plan.chains[:, 0]]
+    for k in range(1, plan.chains.shape[1]):
+        fused = np.matmul(u[plan.chains[:, k]], fused)
+    for shape, f, perm in plan.steps:
+        if perm is None:
+            psi = np.matmul(fused[f], psi.reshape(shape)).reshape(-1)
         else:
-            raise ShapeError(f"unknown gate {g.name!r}")
+            psi = psi[perm]
     return psi
 
 

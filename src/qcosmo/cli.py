@@ -247,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--config", help="JSON run configuration")
-        p.add_argument("--preset", help="named preset (see qcosmo reproduce --list)")
+        p.add_argument("--preset", help=f"named preset, one of {sorted(presets.PRESETS)}")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", help="output directory (default $QCOSMO_OUT or .)")
         p.add_argument("--qubits", help="qubit counts, e.g. 4 or 4,4")

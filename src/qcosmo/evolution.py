@@ -199,7 +199,7 @@ def interval_propagation_profile(
 def gaussian_on_grid(grid: np.ndarray, center: float, width: float) -> np.ndarray:
     """Normalized Gaussian amplitudes; DomainError if none survive on the grid."""
     with np.errstate(all="ignore"):
-        psi = np.exp(-((grid - center) ** 2) / (4.0 * width**2)).astype(complex)
+        psi = np.exp(-((grid - center) ** 2) / (4.0 * width * width)).astype(complex)
         norm = np.linalg.norm(psi)
     if not (np.isfinite(norm) and norm > 0.0):
         raise DomainError(f"Gaussian with center {center} and width {width} has norm {norm} "

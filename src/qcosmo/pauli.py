@@ -25,6 +25,7 @@ PAULI_MATRICES = {
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 _LABELS = "IXYZ"
+_LABEL_CODES = np.array([ord(c) for c in _LABELS], dtype=np.uint32)  # sorted
 
 # W[s, 2j+k] = P_s[k, j]: contracts one (row, col) qubit index pair into a
 # Pauli-coefficient axis (trace convention Tr(P H)).
@@ -64,6 +65,11 @@ class PauliSum:
     zero_tol: float = 1e-12
 
     def __post_init__(self):
+        labels = [t.label for t in self.terms]
+        if (len(set(labels)) == len(labels) and set(map(len, labels)) <= {self.n_qubits}
+                and set("".join(labels)) <= set(_LABELS)):
+            return
+        # slow pass only to name the first bad label
         seen = set()
         for t in self.terms:
             if len(t.label) != self.n_qubits or any(c not in _LABELS for c in t.label):
@@ -98,8 +104,8 @@ class PauliSum:
 
 def _n_qubits_of(dim: int) -> int:
     n = int(round(np.log2(dim)))
-    if 2**n != dim:
-        raise ShapeError(f"dimension {dim} is not a power of 2")
+    if n < 1 or 2**n != dim:
+        raise ShapeError(f"dimension {dim} is not a power of 2 >= 2")
     return n
 
 
@@ -108,6 +114,26 @@ def _pauli_transform(t: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     for ax in range(t.ndim):
         t = np.moveaxis(np.tensordot(kernel, t, axes=([1], [ax])), 0, ax)
     return t
+
+
+def _labels(indices: np.ndarray, n: int) -> list[str]:
+    """The n-letter label of each flat coefficient index.
+
+    Qubit q's letter is base-4 digit q of the index, most significant first.
+    """
+    codes = np.empty((indices.size, n), dtype=np.uint32)
+    for q in range(n):
+        codes[:, q] = _LABEL_CODES[(indices >> 2 * (n - 1 - q)) & 3]
+    return codes.view(f"<U{n}").reshape(-1).tolist()
+
+
+def _indices(labels: list[str], n: int) -> np.ndarray:
+    """The flat coefficient index of each n-letter label; inverse of ``_labels``."""
+    codes = np.array(labels, dtype=f"<U{n}").view(np.uint32)
+    flat = np.zeros(len(labels), dtype=np.intp)
+    for q in range(n):
+        flat = 4 * flat + np.searchsorted(_LABEL_CODES, codes[q::n])
+    return flat
 
 
 def decompose(h: np.ndarray, zero_tol: float = 1e-12) -> PauliSum:
@@ -122,22 +148,17 @@ def decompose(h: np.ndarray, zero_tol: float = 1e-12) -> PauliSum:
     max_imag = np.max(np.abs(coeffs.imag)) if coeffs.size else 0.0
     if max_imag > 1e-10 * max(1.0, np.max(np.abs(coeffs))):
         raise HermiticityError(f"complex Pauli coefficient ({max_imag:.3e}) from Hermitian input")
-    terms = []
-    for flat_index in np.nonzero(np.abs(coeffs) > zero_tol)[0]:
-        digits = np.base_repr(flat_index, 4).zfill(n)
-        label = "".join(_LABELS[int(d)] for d in digits)
-        terms.append(PauliTerm(float(coeffs[flat_index].real), label))
+    kept = np.flatnonzero(np.abs(coeffs) > zero_tol)
+    terms = [PauliTerm(c, label) for c, label in zip(coeffs.real[kept].tolist(), _labels(kept, n))]
     return PauliSum(n_qubits=n, terms=terms, zero_tol=zero_tol)
 
 
 def reconstruct(s: PauliSum) -> np.ndarray:
     """Dense matrix sum_t coeff_t * (tensor product of Pauli factors)."""
     n = s.n_qubits
-    coeffs = np.zeros((4,) * n, dtype=complex)
-    for t in s.terms:
-        idx = tuple(_LABELS.index(c) for c in t.label)
-        coeffs[idx] = t.coeff
-    t = _pauli_transform(coeffs, _V)
+    coeffs = np.zeros(4**n, dtype=complex)
+    coeffs[_indices([t.label for t in s.terms], n)] = [t.coeff for t in s.terms]
+    t = _pauli_transform(coeffs.reshape((4,) * n), _V)
     # split each merged (row, col) axis back out and deinterleave
     t = t.reshape((2,) * (2 * n))
     rows = [2 * q for q in range(n)]

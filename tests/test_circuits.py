@@ -6,6 +6,28 @@ from qcosmo.circuits import AnsatzSpec, Circuit, apply_circuit, efficient_su2_an
 from qcosmo.errors import ShapeError
 
 
+def interpret(circuit, params, init=None):
+    """The former per-gate interpreter of apply_circuit, kept as its oracle.
+
+    It builds a fresh 2x2 per rotation, applied with einsum, and copies the
+    state for every CNOT.
+    """
+    n = circuit.n_qubits
+    psi = circuits.zero_state(n) if init is None else np.array(init, dtype=complex)
+    for g in circuit.gates:
+        if g.name == "cnot":
+            psi = circuits._apply_cnot(psi, n, g.qubit, g.target)
+            continue
+        t = params[g.slot]
+        if g.name == "ry":
+            u = np.array([[np.cos(t / 2), -np.sin(t / 2)], [np.sin(t / 2), np.cos(t / 2)]],
+                         dtype=complex)
+        else:
+            u = np.array([[np.exp(-1j * t / 2), 0], [0, np.exp(1j * t / 2)]])
+        psi = np.einsum("ab,ibj->iaj", u, psi.reshape(2**g.qubit, 2, -1)).reshape(-1)
+    return psi
+
+
 def dense_unitary(circuit, params):
     """Oracle: build the full gate product as a dense matrix."""
     n = circuit.n_qubits
@@ -143,3 +165,67 @@ def test_dump_format():
 def test_ansatz_spec_rejects(kwargs):
     with pytest.raises(ShapeError):
         AnsatzSpec(2, **kwargs)
+
+
+def assert_matches_oracles(circuit, params, init=None):
+    out = apply_circuit(circuit, params, init)
+    assert np.max(np.abs(out - interpret(circuit, params, init))) <= 1e-14
+    start = circuits.zero_state(circuit.n_qubits) if init is None else init
+    assert np.max(np.abs(out - dense_unitary(circuit, params) @ start)) <= 1e-10
+
+
+@pytest.mark.parametrize("rotations", [("rz", "ry"), ("ry",)])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_compiled_matches_interpreter(n, rotations):
+    rng = np.random.default_rng(n)
+    circuit = efficient_su2_ansatz(AnsatzSpec(n, reps=2, rotations=rotations))
+    assert_matches_oracles(circuit, rng.uniform(-np.pi, np.pi, circuit.n_params))
+
+
+def test_compiled_hand_built_circuit():
+    # a CNOT splits two rotation runs on qubit 0; CNOT(2, 0) has control > target
+    c = Circuit(3).ry(0).rz(0).rz(2).cnot(0, 1).ry(0).cnot(2, 0).cnot(1, 2).rz(1).ry(1).ry(0)
+    rng = np.random.default_rng(3)
+    assert_matches_oracles(c, rng.uniform(-np.pi, np.pi, c.n_params))
+
+
+def test_compiled_empty_circuit_and_init():
+    rng = np.random.default_rng(8)
+    init = rng.normal(size=8) + 1j * rng.normal(size=8)
+    init /= np.linalg.norm(init)
+    assert_matches_oracles(Circuit(3), [], init)
+    circuit = efficient_su2_ansatz(AnsatzSpec(3, reps=1))
+    assert_matches_oracles(circuit, rng.uniform(-np.pi, np.pi, circuit.n_params), init)
+
+
+def test_plan_rebuilt_after_circuit_grows(monkeypatch):
+    compiled = []
+    compile_ = circuits._compile
+    monkeypatch.setattr(circuits, "_compile", lambda c: compiled.append(c) or compile_(c))
+    c = Circuit(2).ry(0).cnot(0, 1)
+    rng = np.random.default_rng(4)
+    assert_matches_oracles(c, rng.uniform(-np.pi, np.pi, c.n_params))
+    c.rz(1).cnot(1, 0).ry(1)
+    assert_matches_oracles(c, rng.uniform(-np.pi, np.pi, c.n_params))
+    assert len(compiled) == 2
+
+
+def test_plan_built_once(monkeypatch):
+    compiled = []
+    compile_ = circuits._compile
+    monkeypatch.setattr(circuits, "_compile", lambda c: compiled.append(c) or compile_(c))
+    circuit = efficient_su2_ansatz(AnsatzSpec(4, reps=3))
+    rng = np.random.default_rng(6)
+    for _ in range(50):
+        apply_circuit(circuit, rng.uniform(-np.pi, np.pi, circuit.n_params))
+    assert len(compiled) == 1
+
+
+def test_compiled_repeat_is_bit_identical():
+    circuit = efficient_su2_ansatz(AnsatzSpec(8, reps=5))
+    params = np.random.default_rng(7).uniform(-np.pi, np.pi, circuit.n_params)
+    first = apply_circuit(circuit, params)
+    fresh = efficient_su2_ansatz(AnsatzSpec(8, reps=5))
+    for _ in range(3):
+        assert np.array_equal(apply_circuit(circuit, params), first)
+        assert np.array_equal(apply_circuit(fresh, params), first)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcosmo import cli, models
+from qcosmo import cli, models, presets
 
 
 def run(argv):
@@ -143,6 +143,22 @@ def test_eoh_double_well_preset(tmp_path):
     assert run(["eoh", "--preset", "fig16", "--out", str(tmp_path)]) == 0
     payload = read_json(tmp_path / "eoh.json")
     assert all(n == pytest.approx(1.0, abs=1e-9) for n in payload["norm"])
+
+
+def test_eoh_flat_gaussian(tmp_path):
+    # width**2 overflows a Python float; the Gaussian itself is flat and fine
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"eoh": {"kind": "double-well", "n_qubits": 3, "width": 1e200}}))
+    assert run(["eoh", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    payload = read_json(tmp_path / "eoh.json")
+    assert all(n == pytest.approx(1.0, abs=1e-9) for n in payload["norm"])
+
+
+def test_preset_help_lists_presets(capsys):
+    assert run(["exact", "--help"]) == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert all(repr(name) in out for name in presets.PRESETS)
+    assert "--list" not in out
 
 
 def test_reproduce_table2(capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qcosmo import models, pauli, vqe
+from qcosmo import models, pauli, presets, vqe
 from qcosmo.bases import BasisKind, build_position
 from qcosmo.errors import HermiticityError, ShapeError
 
@@ -23,6 +23,65 @@ def brute_force_decompose(h):
         p = kron_all([pauli.PAULI_MATRICES[c] for c in labels])
         coeffs["".join(labels)] = np.trace(p @ h) / h.shape[0]
     return coeffs
+
+
+def loop_decompose(h, zero_tol=1e-12):
+    """decompose's former per-term listing, kept as its oracle: (coeff, label) pairs."""
+    n = int(np.log2(h.shape[0]))
+    order = [ax for q in range(n) for ax in (q, n + q)]
+    t = h.reshape((2,) * (2 * n)).transpose(order).reshape((4,) * n)
+    coeffs = pauli._pauli_transform(t, pauli._W).reshape(-1) / h.shape[0]
+    terms = []
+    for flat_index in np.nonzero(np.abs(coeffs) > zero_tol)[0]:
+        digits = np.base_repr(flat_index, 4).zfill(n)
+        label = "".join("IXYZ"[int(d)] for d in digits)
+        terms.append((float(coeffs[flat_index].real), label))
+    return terms
+
+
+def loop_reconstruct(s):
+    """reconstruct's former per-term fill of the coefficient tensor, kept as its oracle."""
+    n = s.n_qubits
+    coeffs = np.zeros((4,) * n, dtype=complex)
+    for t in s.terms:
+        coeffs[tuple("IXYZ".index(c) for c in t.label)] = t.coeff
+    t = pauli._pauli_transform(coeffs, pauli._V).reshape((2,) * (2 * n))
+    return t.transpose([2 * q for q in range(n)] + [2 * q + 1 for q in range(n)]).reshape(2**n, 2**n)
+
+
+def assert_listing_matches_loop(h):
+    s = pauli.decompose(h)
+    assert [(t.coeff, t.label) for t in s.terms] == loop_decompose(h)
+    assert np.array_equal(pauli.reconstruct(s), loop_reconstruct(s))
+    return s
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_listing_matches_loop(n):
+    rng = np.random.default_rng(n)
+    # a sparse real symmetric H leaves zero coefficients for zero_tol to drop
+    a = rng.normal(size=(2**n, 2**n)) * (rng.random((2**n, 2**n)) < 0.3)
+    assert_listing_matches_loop(a + a.T)
+
+
+def test_listing_matches_loop_zero_and_table3():
+    assert len(assert_listing_matches_loop(np.zeros((8, 8)))) == 0
+    cfg = presets.get_preset("table3")
+    h, _ = models.build_model({k: cfg[k] for k in ("model", "qubits", "basis")})
+    assert len(assert_listing_matches_loop(h)) == 17801
+
+
+@pytest.mark.parametrize(
+    "labels, message",
+    [
+        (["ZZ", "Z"], "bad label 'Z' for 2 qubits"),
+        (["ZZ", "XQ", "ZZ"], "bad label 'XQ' for 2 qubits"),
+        (["ZZ", "XY", "ZZ", "Q"], "duplicate label 'ZZ'"),
+    ],
+)
+def test_bad_labels_name_the_first_fault(labels, message):
+    with pytest.raises(ShapeError, match=f"^{message}$"):
+        pauli.PauliSum(2, [pauli.PauliTerm(1.0, label) for label in labels])
 
 
 def test_identity_2x2():
