@@ -121,11 +121,11 @@ class _Plan(NamedTuple):
 
     ``ry``/``rz`` hold the parameter slots of each rotation kind. ``chains``
     is an (F, L) array: row f lists, in gate order, the slots whose 2x2s fuse
-    into the f-th single-qubit unitary, padded with the identity slot
-    ``n_params``. ``steps`` runs in order; a step is either ``(shape, f,
-    None)``, fused unitary f on the ``(2**q, 2, 2**(n-q-1))`` view of the
-    state, or ``(None, -1, perm)``, a run of CNOTs as one gather
-    ``psi[perm]``.
+    into the f-th single-qubit unitary, padded with slot -1, which
+    ``apply_circuit`` sets to the identity. ``steps`` runs in order; a step
+    is either ``(shape, f, None)``, fused unitary f on the
+    ``(2**q, 2, 2**(n-q-1))`` view of the state, or ``(None, -1, perm)``, a
+    run of CNOTs as one gather ``psi[perm]``.
     """
 
     ry: np.ndarray
@@ -154,7 +154,7 @@ def _compile(circuit: Circuit) -> _Plan:
         else:
             raise ShapeError(f"unknown gate {g.name!r}")
     width = max(map(len, chains), default=1)
-    padded = [c + [circuit.n_params] * (width - len(c)) for c in chains]
+    padded = [c + [-1] * (width - len(c)) for c in chains]
     return _Plan(np.array(ry, dtype=np.intp), np.array(rz, dtype=np.intp),
                  np.array(padded, dtype=np.intp).reshape(len(chains), width), steps)
 

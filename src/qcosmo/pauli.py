@@ -26,6 +26,7 @@ PAULI_MATRICES = {
 }
 _LABELS = "IXYZ"
 _LABEL_CODES = np.array([ord(c) for c in _LABELS], dtype=np.uint32)  # sorted
+_CHARS = frozenset(_LABELS)
 
 # W[s, 2j+k] = P_s[k, j]: contracts one (row, col) qubit index pair into a
 # Pauli-coefficient axis (trace convention Tr(P H)).
@@ -65,14 +66,9 @@ class PauliSum:
     zero_tol: float = 1e-12
 
     def __post_init__(self):
-        labels = [t.label for t in self.terms]
-        if (len(set(labels)) == len(labels) and set(map(len, labels)) <= {self.n_qubits}
-                and set("".join(labels)) <= set(_LABELS)):
-            return
-        # slow pass only to name the first bad label
         seen = set()
         for t in self.terms:
-            if len(t.label) != self.n_qubits or any(c not in _LABELS for c in t.label):
+            if len(t.label) != self.n_qubits or not _CHARS.issuperset(t.label):
                 raise ShapeError(f"bad label {t.label!r} for {self.n_qubits} qubits")
             if t.label in seen:
                 raise ShapeError(f"duplicate label {t.label!r}")
@@ -124,12 +120,12 @@ def _labels(indices: np.ndarray, n: int) -> list[str]:
     codes = np.empty((indices.size, n), dtype=np.uint32)
     for q in range(n):
         codes[:, q] = _LABEL_CODES[(indices >> 2 * (n - 1 - q)) & 3]
-    return codes.view(f"<U{n}").reshape(-1).tolist()
+    return codes.view(f"U{n}").reshape(-1).tolist()
 
 
 def _indices(labels: list[str], n: int) -> np.ndarray:
     """The flat coefficient index of each n-letter label; inverse of ``_labels``."""
-    codes = np.array(labels, dtype=f"<U{n}").view(np.uint32)
+    codes = np.array(labels, dtype=f"U{n}").view(np.uint32)
     flat = np.zeros(len(labels), dtype=np.intp)
     for q in range(n):
         flat = 4 * flat + np.searchsorted(_LABEL_CODES, codes[q::n])

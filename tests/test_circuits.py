@@ -210,6 +210,16 @@ def test_plan_rebuilt_after_circuit_grows(monkeypatch):
     assert len(compiled) == 2
 
 
+
+def test_plan_independent_of_n_params():
+    # qubit 0 fuses two slots and qubit 1 one, so qubit 1's chain is padded;
+    # the padding must stay the identity when n_params changes under the plan
+    c = Circuit(2).ry(0).rz(0).ry(1)
+    rng = np.random.default_rng(5)
+    assert_matches_oracles(c, rng.uniform(-np.pi, np.pi, c.n_params))
+    c.n_params += 2
+    assert_matches_oracles(c, rng.uniform(-np.pi, np.pi, c.n_params))
+
 def test_plan_built_once(monkeypatch):
     compiled = []
     compile_ = circuits._compile
