@@ -111,23 +111,6 @@ def trotter_evolve(
     return EvolveResult(final=out, t=t, steps=steps, order=order, fidelity_vs_exact=fidelity)
 
 
-def kernel(hamiltonian, t: float, from_index: int, to_index: int,
-           steps: int = 1, order: int = 1) -> complex:
-    """Propagation amplitude <to| e^{-iHt} |from> on basis vectors.
-
-    ``hamiltonian`` may be a single matrix (evolved exactly) or a list of
-    parts (evolved with the Trotter product).
-    """
-    parts = hamiltonian if isinstance(hamiltonian, (list, tuple)) else [hamiltonian]
-    dim = np.asarray(parts[0]).shape[0]
-    if not (0 <= from_index < dim and 0 <= to_index < dim):
-        raise ShapeError("kernel index out of range")
-    psi = np.zeros(dim, dtype=complex)
-    psi[from_index] = 1.0
-    res = trotter_evolve(parts, t, steps, order, psi)
-    return complex(res.final[to_index])
-
-
 # ---------------------------------------------------------------------------
 # free propagation on an interval
 

@@ -11,7 +11,7 @@ tensor, so no 2^n x 2^n Pauli string is ever materialized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,7 @@ PAULI_MATRICES = {
 }
 _LABELS = "IXYZ"
 _LABEL_CODES = np.array([ord(c) for c in _LABELS], dtype=np.uint32)  # sorted
-_CHARS = frozenset(_LABELS)
+_DIGITS = str.maketrans(_LABELS, "0123")
 
 # W[s, 2j+k] = P_s[k, j]: contracts one (row, col) qubit index pair into a
 # Pauli-coefficient axis (trace convention Tr(P H)).
@@ -51,58 +51,84 @@ _V = np.array(
 )
 
 
-@dataclass(frozen=True)
-class PauliTerm:
-    coeff: float
-    label: str
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class PauliSum:
-    """Weighted Pauli labels representing a Hermitian operator."""
+    """Weighted Pauli strings representing a Hermitian operator.
+
+    Term k is ``coeff[k]`` times the string whose flat coefficient index is
+    ``index[k]``: base-4 digit q of the index, most significant first, is
+    qubit q's letter in "IXYZ". Both arrays are read-only copies, checked
+    once here; build from labels with ``from_labels`` or ``from_text``.
+    """
 
     n_qubits: int
-    terms: list[PauliTerm] = field(default_factory=list)
-    zero_tol: float = 1e-12
+    index: np.ndarray
+    coeff: np.ndarray
 
     def __post_init__(self):
-        seen = set()
-        for t in self.terms:
-            if len(t.label) != self.n_qubits or not _CHARS.issuperset(t.label):
-                raise ShapeError(f"bad label {t.label!r} for {self.n_qubits} qubits")
-            if t.label in seen:
-                raise ShapeError(f"duplicate label {t.label!r}")
-            seen.add(t.label)
+        index = np.array(self.index, dtype=np.intp)
+        coeff = np.asarray(self.coeff)
+        if coeff.dtype.kind not in "iuf":
+            raise ShapeError(f"Pauli coefficients must be real numbers, not {coeff.dtype}")
+        coeff = coeff.astype(np.float64)
+        n = self.n_qubits
+        if n < 1 or index.ndim != 1 or coeff.shape != index.shape:
+            raise ShapeError(f"{index.shape} indices and {coeff.shape} coefficients for {n} qubits")
+        if np.any((index < 0) | (index >= 4**n)) or np.unique(index).size != index.size:
+            raise ShapeError(f"Pauli indices must be unique and in [0, 4**{n})")
+        for name, a in (("index", index), ("coeff", coeff)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     def __len__(self):
-        return len(self.terms)
+        return self.index.size
+
+    def labels(self) -> list[str]:
+        """Each term's label, built on demand."""
+        return _labels(self.index, self.n_qubits)
 
     def to_text(self) -> str:
         """One term per line, ``coeff LABEL``, 17 significant digits."""
-        return "\n".join(f"{t.coeff:.17g} {t.label}" for t in self.terms)
+        terms = zip(self.coeff.tolist(), self.labels())
+        return "\n".join(f"{c:.17g} {label}" for c, label in terms)
 
     @classmethod
-    def from_text(cls, text: str, zero_tol: float = 1e-12) -> "PauliSum":
-        terms = []
-        n_qubits = None
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
+    def from_labels(cls, n_qubits: int, labels, coeffs) -> "PauliSum":
+        """The checked constructor from labels; names the first bad label in input order."""
+        index, seen = [], set()
+        for label in labels:
+            if not isinstance(label, str) or len(label) != n_qubits or label.strip(_LABELS):
+                raise ShapeError(f"bad label {label!r} for {n_qubits} qubits")
+            if label in seen:
+                raise ShapeError(f"duplicate label {label!r}")
+            seen.add(label)
+            # the leading 0 lets n_qubits = 0 reach the constructor's check
+            index.append(int("0" + label.translate(_DIGITS), 4))
+        return cls(n_qubits, index, coeffs)
+
+    @classmethod
+    def from_text(cls, text: str) -> "PauliSum":
+        """Parse ``to_text`` output: one ``coeff LABEL`` per non-blank line."""
+        labels, coeffs = [], []
+        for number, line in enumerate(text.splitlines(), 1):
+            if not line.strip():
                 continue
-            coeff, label = line.split()
-            if n_qubits is None:
-                n_qubits = len(label)
-            terms.append(PauliTerm(float(coeff), label))
-        if n_qubits is None:
+            try:
+                coeff, label = line.split()
+                coeffs.append(float(coeff))
+            except ValueError:
+                message = f"line {number}: expected 'coeff LABEL', got {line.strip()!r}"
+                raise ShapeError(message) from None
+            labels.append(label)
+        if not labels:
             raise ShapeError("empty Pauli-sum text")
-        return cls(n_qubits=n_qubits, terms=terms, zero_tol=zero_tol)
+        return cls.from_labels(len(labels[0]), labels, coeffs)
 
 
 def _n_qubits_of(dim: int) -> int:
-    n = int(round(np.log2(dim)))
-    if n < 1 or 2**n != dim:
+    if dim < 2 or dim & (dim - 1):
         raise ShapeError(f"dimension {dim} is not a power of 2 >= 2")
-    return n
+    return dim.bit_length() - 1
 
 
 def _pauli_transform(t: np.ndarray, kernel: np.ndarray) -> np.ndarray:
@@ -123,15 +149,6 @@ def _labels(indices: np.ndarray, n: int) -> list[str]:
     return codes.view(f"U{n}").reshape(-1).tolist()
 
 
-def _indices(labels: list[str], n: int) -> np.ndarray:
-    """The flat coefficient index of each n-letter label; inverse of ``_labels``."""
-    codes = np.array(labels, dtype=f"U{n}").view(np.uint32)
-    flat = np.zeros(len(labels), dtype=np.intp)
-    for q in range(n):
-        flat = 4 * flat + np.searchsorted(_LABEL_CODES, codes[q::n])
-    return flat
-
-
 def decompose(h: np.ndarray, zero_tol: float = 1e-12) -> PauliSum:
     """Expand a Hermitian matrix in the Pauli basis, dropping tiny terms."""
     h = np.asarray(h, dtype=complex)
@@ -145,39 +162,20 @@ def decompose(h: np.ndarray, zero_tol: float = 1e-12) -> PauliSum:
     if max_imag > 1e-10 * max(1.0, np.max(np.abs(coeffs))):
         raise HermiticityError(f"complex Pauli coefficient ({max_imag:.3e}) from Hermitian input")
     kept = np.flatnonzero(np.abs(coeffs) > zero_tol)
-    terms = [PauliTerm(c, label) for c, label in zip(coeffs.real[kept].tolist(), _labels(kept, n))]
-    return PauliSum(n_qubits=n, terms=terms, zero_tol=zero_tol)
+    return PauliSum(n, kept, coeffs.real[kept])
 
 
 def reconstruct(s: PauliSum) -> np.ndarray:
     """Dense matrix sum_t coeff_t * (tensor product of Pauli factors)."""
     n = s.n_qubits
     coeffs = np.zeros(4**n, dtype=complex)
-    coeffs[_indices([t.label for t in s.terms], n)] = [t.coeff for t in s.terms]
+    coeffs[s.index] = s.coeff
     t = _pauli_transform(coeffs.reshape((4,) * n), _V)
     # split each merged (row, col) axis back out and deinterleave
     t = t.reshape((2,) * (2 * n))
     rows = [2 * q for q in range(n)]
     cols = [2 * q + 1 for q in range(n)]
     return t.transpose(rows + cols).reshape(2**n, 2**n)
-
-
-def _term_masks(label: str) -> tuple[int, int, int, complex]:
-    """Bit masks (flip, y, z) and the global i^(#Y) phase for one label."""
-    n = len(label)
-    flip = y_mask = z_mask = 0
-    ny = 0
-    for q, ch in enumerate(label):
-        bit = 1 << (n - 1 - q)
-        if ch == "X":
-            flip |= bit
-        elif ch == "Y":
-            flip |= bit
-            y_mask |= bit
-            ny += 1
-        elif ch == "Z":
-            z_mask |= bit
-    return flip, y_mask, z_mask, 1j**ny
 
 
 def expectation(s: PauliSum, psi: np.ndarray) -> float:
@@ -192,11 +190,18 @@ def expectation(s: PauliSum, psi: np.ndarray) -> float:
     norm = np.linalg.norm(psi)
     if abs(norm - 1.0) > 1e-10:
         raise ShapeError(f"state norm {norm} is not 1")
+    # digit k of each index is the letter of qubit n-1-k, whose state bit is 1 << k
+    k = np.arange(s.n_qubits)
+    digit = (s.index[:, None] >> 2 * k) & 3
+    bit = 1 << k
+    flips = ((digit == 1) | (digit == 2)) @ bit
+    ys, zs = (digit == 2) @ bit, (digit == 3) @ bit
+    masks = zip(s.coeff.tolist(), flips.tolist(), ys.tolist(), zs.tolist(),
+                np.bitwise_count(ys).tolist())
     j = np.arange(psi.size)
     total = 0.0 + 0.0j
-    for t in s.terms:
-        flip, y_mask, z_mask, phase0 = _term_masks(t.label)
+    for coeff, flip, y_mask, z_mask, ny in masks:
         signs = (-1.0) ** np.bitwise_count(j & (y_mask | z_mask))
-        amp = phase0 * signs
-        total += t.coeff * np.vdot(psi[j ^ flip], amp * psi)
+        amp = 1j**ny * signs
+        total += coeff * np.vdot(psi[j ^ flip], amp * psi)
     return float(total.real)

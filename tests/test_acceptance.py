@@ -329,7 +329,7 @@ def test_criterion_9_property_suite():
     a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
     h = (a + a.conj().T) / 2
     s = pauli.decompose(h, zero_tol=0.0)
-    parseval = abs(sum(t.coeff**2 for t in s.terms) * 16 - np.linalg.norm(h, "fro") ** 2)
+    parseval = abs(np.sum(s.coeff**2) * 16 - np.linalg.norm(h, "fro") ** 2)
     parseval_ok = parseval <= 1e-8 * np.linalg.norm(h, "fro") ** 2
     roundtrip_ok = np.max(np.abs(pauli.reconstruct(s) - h)) <= 1e-10
     details.append(f"parseval={parseval_ok}, roundtrip={roundtrip_ok}")

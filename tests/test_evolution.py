@@ -7,7 +7,6 @@ from qcosmo.evolution import (
     exact_evolve,
     free_interval_hamiltonian,
     interval_propagation_profile,
-    kernel,
     split_even_odd,
     trotter_evolve,
 )
@@ -140,21 +139,6 @@ def test_trotter_error_slopes(order, target):
     ]
     slope = np.polyfit(np.log([8, 16, 32, 64]), np.log(errs), 1)[0]
     assert abs(slope - target) <= 0.15
-
-
-def test_kernel_basics():
-    h = free_interval_hamiltonian(4)
-    assert kernel(h, 0.0, 3, 3) == pytest.approx(1.0)
-    assert kernel(h, 0.0, 3, 5) == pytest.approx(0.0, abs=1e-14)
-    with pytest.raises(ShapeError):
-        kernel(h, 0.1, 0, 99)
-
-
-def test_kernel_symmetric_hamiltonian():
-    h = free_interval_hamiltonian(4)
-    k_if = kernel(h, 0.4, 2, 9)
-    k_fi = kernel(h, 0.4, 9, 2)
-    assert abs(k_if - k_fi) <= 1e-10
 
 
 def test_interval_profile_tau0_delta():
