@@ -66,15 +66,12 @@ class AnsatzSpec:
     n_qubits: int
     reps: int = 3
     rotations: tuple[str, ...] = ROTATIONS
-    entanglement: str = "full"
 
     def __post_init__(self):
         if self.reps < 1:
             raise ShapeError("reps must be >= 1")
         if not self.rotations:
             raise ShapeError("rotations must not be empty")
-        if self.entanglement != "full":
-            raise ShapeError("only full entanglement is implemented")
         for r in self.rotations:
             if r not in ROTATIONS:
                 raise ShapeError(f"unknown rotation {r!r}")
@@ -84,7 +81,7 @@ def efficient_su2_ansatz(spec: AnsatzSpec) -> Circuit:
     """(reps+1) rotation layers interleaved with reps full CNOT blocks.
 
     Each rotation layer applies every rotation kind to every qubit; each
-    entanglement block applies CNOT(i, j) for all i < j in lexicographic
+    CNOT block applies CNOT(i, j) for all i < j in lexicographic
     order. Parameter count: n_qubits * len(rotations) * (reps + 1).
     """
     c = Circuit(spec.n_qubits)

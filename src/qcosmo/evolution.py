@@ -4,8 +4,9 @@ The exact route diagonalizes once and applies exp(-i w t) in the eigenbasis.
 The Trotter route exponentiates each part of a Hamiltonian splitting exactly
 (every part is Hermitian, so its propagator is a spectral exponential) and
 interleaves them: order 1 is the plain product, order 2 the symmetric Strang
-product. Kernel amplitudes <f| e^{-iHt} |i> and |K|^2 profiles over a grid
-are thin wrappers around these.
+product. A profile over a list of times checks and diagonalises each part,
+and their sum, once, and reuses those eigenpairs for the Trotter and the
+exact state at every time.
 """
 
 from __future__ import annotations
@@ -25,18 +26,33 @@ class EvolveResult:
     t: float
     steps: int
     order: int
-    fidelity_vs_exact: float | None = None
 
 
 @dataclass
 class KernelProfile:
+    """Trotter state ``values`` and exact state ``exact`` at fifth time ``tau``."""
+
     grid: np.ndarray
     tau: float
     values: np.ndarray
+    exact: np.ndarray
 
     @property
     def squared(self) -> np.ndarray:
         return np.abs(self.values) ** 2
+
+
+def _phases(w: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i w t); DomainError when a phase overflows to a non-finite value."""
+    with np.errstate(all="ignore"):
+        phases = np.exp(-1j * w * t)
+    if not np.isfinite(phases).all():
+        raise DomainError(f"exp(-i w t) is not finite at t = {t}")
+    return phases
+
+
+def _spectral_evolve(w: np.ndarray, u: np.ndarray, t: float, psi: np.ndarray) -> np.ndarray:
+    return u @ (_phases(w, t) * (u.conj().T @ psi))
 
 
 def exact_evolve(h: np.ndarray, t: float, psi: np.ndarray) -> np.ndarray:
@@ -46,30 +62,16 @@ def exact_evolve(h: np.ndarray, t: float, psi: np.ndarray) -> np.ndarray:
     if psi.shape != (h.shape[0],):
         raise ShapeError("state/operator dimension mismatch")
     w, u = np.linalg.eigh(h)
-    return u @ (np.exp(-1j * w * t) * (u.conj().T @ psi))
+    return _spectral_evolve(w, u, t, psi)
 
 
-def _propagator(h: np.ndarray, t: float) -> np.ndarray:
-    w, u = np.linalg.eigh(h)
-    return (u * np.exp(-1j * w * t)) @ u.conj().T
+def _propagator(spectrum, t: float) -> np.ndarray:
+    w, u = spectrum
+    return (u * _phases(w, t)) @ u.conj().T
 
 
-def trotter_evolve(
-    parts,
-    t: float,
-    steps: int,
-    order: int,
-    psi: np.ndarray,
-    total: np.ndarray | None = None,
-    compute_fidelity: bool = False,
-) -> EvolveResult:
-    """Split-propagator evolution over ``steps`` slices of duration t/steps.
-
-    ``parts`` is a list of Hermitian matrices whose sum is the Hamiltonian;
-    when ``total`` is supplied the sum is checked against it. Each part's
-    slice propagator is exact, so a single part reproduces exact evolution
-    for any step count.
-    """
+def _checked(parts, steps: int, order: int, psi: np.ndarray):
+    """The parts and the state as complex arrays, checked for Hermiticity and shape."""
     parts = [require_hermitian(np.asarray(p, dtype=complex)) for p in parts]
     if not parts:
         raise ShapeError("need at least one part")
@@ -77,38 +79,38 @@ def trotter_evolve(
         raise ShapeError("steps must be >= 1")
     if order not in (1, 2):
         raise ShapeError("order must be 1 or 2")
-    dim = parts[0].shape[0]
-    summed = sum(parts)
-    if total is not None:
-        total = np.asarray(total, dtype=complex)
-        if np.max(np.abs(summed - total)) > 1e-12 * max(1.0, np.max(np.abs(total))):
-            raise ShapeError("parts do not sum to the supplied Hamiltonian")
     psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (dim,):
+    dim = parts[0].shape[0]
+    if psi.shape != (dim,) or any(p.shape != (dim, dim) for p in parts):
         raise ShapeError("state/operator dimension mismatch")
+    return parts, psi
 
+
+def _trotter(spectra, t: float, steps: int, order: int, psi: np.ndarray) -> np.ndarray:
+    """The order-1 product or order-2 Strang product of the parts' slice propagators."""
     dt = t / steps
-    out = psi.copy()
     if order == 1:
-        props = [_propagator(p, dt) for p in parts]
-        for _ in range(steps):
-            for u in props:
-                out = u @ out
+        sequence = [_propagator(s, dt) for s in spectra]
     else:
-        half = [_propagator(p, dt / 2.0) for p in parts[:-1]]
-        mid = _propagator(parts[-1], dt)
-        for _ in range(steps):
-            for u in half:
-                out = u @ out
-            out = mid @ out
-            for u in reversed(half):
-                out = u @ out
+        half = [_propagator(s, dt / 2.0) for s in spectra[:-1]]
+        sequence = half + [_propagator(spectra[-1], dt)] + half[::-1]
+    out = psi
+    for _ in range(steps):
+        for u in sequence:
+            out = u @ out
+    return out
 
-    fidelity = None
-    if compute_fidelity:
-        exact = exact_evolve(summed, t, psi)
-        fidelity = float(np.abs(np.vdot(exact, out)))
-    return EvolveResult(final=out, t=t, steps=steps, order=order, fidelity_vs_exact=fidelity)
+
+def trotter_evolve(parts, t: float, steps: int, order: int, psi: np.ndarray) -> EvolveResult:
+    """Split-propagator evolution over ``steps`` slices of duration t/steps.
+
+    ``parts`` is a list of Hermitian matrices whose sum is the Hamiltonian.
+    Each part's slice propagator is exact, so a single part reproduces exact
+    evolution for any step count.
+    """
+    parts, psi = _checked(parts, steps, order, psi)
+    final = _trotter([np.linalg.eigh(p) for p in parts], t, steps, order, psi)
+    return EvolveResult(final=final, t=t, steps=steps, order=order)
 
 
 # ---------------------------------------------------------------------------
@@ -146,14 +148,17 @@ PROFILE_STEPS, PROFILE_ORDER = 64, 2
 
 
 def _profiles(parts, grid, psi0, tau_list, steps, order) -> list[KernelProfile]:
-    """Trotter-evolved ``psi0`` at each tau (tau = 0 is ``psi0`` itself)."""
+    """Trotter and exact states of ``psi0`` at each tau; the Trotter state at tau = 0 is ``psi0``.
+
+    Each part and H = sum(parts) is diagonalised once; every tau reuses those eigenpairs.
+    """
+    parts, psi0 = _checked(parts, steps, order, psi0)
+    spectra = [np.linalg.eigh(p) for p in parts]
+    w, u = np.linalg.eigh(sum(parts))
     profiles = []
-    for tau in tau_list:
-        if tau == 0.0:
-            final = psi0.copy()
-        else:
-            final = trotter_evolve(parts, float(tau), steps, order, psi0).final
-        profiles.append(KernelProfile(grid=grid, tau=float(tau), values=final))
+    for tau in map(float, tau_list):
+        values = psi0.copy() if tau == 0.0 else _trotter(spectra, tau, steps, order, psi0)
+        profiles.append(KernelProfile(grid, tau, values, _spectral_evolve(w, u, tau, psi0)))
     return profiles
 
 

@@ -236,6 +236,7 @@ STARO = {"model": "starobinsky", "qubits": [2]}
         pytest.param("exact", {**STARO, "seed": 1}, 2, id="seed-key"),
         pytest.param("eoh", {"eoh": {"kind": "double-well", "params": {"kind": "morse-s2"}}},
                      2, id="eoh-params-kind"),
+        pytest.param("eoh", {"eoh": {"n_qubits": 3, "tau_list": [1e308]}}, 1, id="tau-overflow"),
     ],
 )
 def test_exit_codes(tmp_path, capsys, recwarn, command, config, code):

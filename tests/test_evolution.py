@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qcosmo import evolution, models
-from qcosmo.errors import ShapeError
+from qcosmo.errors import DomainError
 from qcosmo.evolution import (
     exact_evolve,
     free_interval_hamiltonian,
@@ -73,22 +73,21 @@ def test_commuting_parts_equal_exact():
     assert np.max(np.abs(res.final - exact_evolve(d1 + d2, 1.3, psi))) <= 1e-12
 
 
-def test_parts_vs_total_checked():
-    rng = np.random.default_rng(5)
-    h = random_hermitian(rng, 4)
-    psi = random_state(rng, 4)
-    with pytest.raises(ShapeError):
-        trotter_evolve([h], 0.1, 1, 1, psi, total=h + 0.01 * np.eye(4))
+def test_exact_evolve_overflowing_time():
+    h = np.diag([4.0, -4.0]).astype(complex)
+    with pytest.raises(DomainError):
+        exact_evolve(h, 1e308, np.array([1, 0], dtype=complex))
 
 
-def test_unitarity_and_fidelity_field():
+def test_unitarity_and_fidelity():
     h = free_interval_hamiltonian(4)
     parts = split_even_odd(h)
     psi = np.zeros(16, dtype=complex)
     psi[8] = 1.0
-    res = trotter_evolve(parts, 0.3, 16, 2, psi, compute_fidelity=True)
+    res = trotter_evolve(parts, 0.3, 16, 2, psi)
     assert abs(np.linalg.norm(res.final) - 1.0) <= 1e-9
-    assert 0.99 <= res.fidelity_vs_exact <= 1.0 + 1e-12
+    fidelity = np.abs(np.vdot(exact_evolve(h, 0.3, psi), res.final))
+    assert 0.99 <= fidelity <= 1.0 + 1e-12
 
 
 def test_split_even_odd_sums_and_does_not_commute():
@@ -205,3 +204,49 @@ def test_double_well_tunneling_signature():
     ]
     assert all(b > a for a, b in zip(exact_right, exact_right[1:]))
     assert np.allclose(right, exact_right, atol=1e-4)
+
+
+DW_PARAMS = models.MinisuperspaceParams(Lambda=-0.5, k_curv=-2.5, v_volume=1.0)
+
+
+def _interval_case(taus, steps, order):
+    psi0 = np.zeros(32, dtype=complex)
+    psi0[16] = 1.0
+    parts = split_even_odd(free_interval_hamiltonian(5))
+    profs = interval_propagation_profile(5, taus, 16, steps=steps, order=order)
+    return parts, psi0, profs
+
+
+def _double_well_case(taus, steps, order):
+    psi0 = evolution.gaussian_on_grid(evolution.fd_grid(5), -1.58, 0.35)
+    parts = evolution.double_well_parts(DW_PARAMS, 5)
+    profs = evolution.double_well_eoh(DW_PARAMS, 5, taus, -1.58, 0.35, steps=steps, order=order)
+    return parts, psi0, profs
+
+
+@pytest.mark.parametrize("case", [_interval_case, _double_well_case])
+@pytest.mark.parametrize("order", [1, 2])
+def test_profile_matches_trotter_and_exact_evolve(case, order):
+    """Profiles reuse one decomposition per part; each state equals the per-call route."""
+    taus = [0.0, 0.05, 0.3, 1.0]
+    parts, psi0, profs = case(taus, 16, order)
+    assert np.array_equal(profs[0].values, psi0)
+    for tau, prof in zip(taus, profs):
+        if tau:
+            assert np.array_equal(prof.values, trotter_evolve(parts, tau, 16, order, psi0).final)
+        assert np.array_equal(prof.exact, exact_evolve(sum(parts), tau, psi0))
+
+
+@pytest.mark.parametrize("case", [_interval_case, _double_well_case])
+@pytest.mark.parametrize("taus", [[0.3], [0.0, 0.05, 0.3, 1.0]])
+def test_profile_eigh_once_per_part(monkeypatch, case, taus):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    parts, _, _ = case(taus, 8, 2)
+    assert len(calls) == len(parts) + 1
