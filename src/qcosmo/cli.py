@@ -84,20 +84,25 @@ def _model_config(run: dict) -> dict:
     return {k: run[k] for k in models.MODEL_SCHEMA}
 
 
-def cmd_exact(args) -> int:
-    h, resolved = models.build_model(_model_config(_load_config(args)))
-    ground, _ = vqe.exact_ground(h)
-    n_terms = len(pauli.decompose(h))
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "config": resolved,
-        "exact_ground": ground,
+def _exact_summary(model_config: dict) -> tuple[dict, dict]:
+    """A model's exact ground, Pauli term count and dimension, and its resolved config."""
+    h, resolved = models.build_model(model_config)
+    summary = {
+        "exact_ground": vqe.exact_ground(h)[0],
+        "pauli_terms": len(pauli.decompose(h)),
         "dim": h.shape[0],
-        "pauli_terms": n_terms,
     }
+    return summary, resolved
+
+
+def cmd_exact(args) -> int:
+    summary, resolved = _exact_summary(_model_config(_load_config(args)))
+    payload = {"schema_version": SCHEMA_VERSION, "config": resolved, **summary}
     out = _out_dir(args) / "exact.json"
     _write_json(out, payload)
-    print(f"exact ground {ground:.10g}  ({h.shape[0]}x{h.shape[0]}, {n_terms} Pauli terms) -> {out}")
+    dim = summary["dim"]
+    print(f"exact ground {summary['exact_ground']:.10g}  ({dim}x{dim}, "
+          f"{summary['pauli_terms']} Pauli terms) -> {out}")
     return 0
 
 
@@ -195,27 +200,23 @@ def cmd_reproduce(args) -> int:
         known = sorted(presets.REPRODUCE_TABLES)
         raise ConfigError(f"unknown table id {table_id!r}; known: {known}")
     spec = presets.REPRODUCE_TABLES[table_id]
-    tun_cache: dict | None = None
+    results: dict[str, dict] = {}  # per preset: its exact summary or tunneling report
     rows_out = []
     for row in spec["rows"]:
-        run = config.check_run(presets.get_preset(row["preset"]))
-        quantity = row["quantity"]
-        if quantity in ("exact_ground", "pauli_terms"):
-            h, _ = models.build_model(_model_config(run))
-            if quantity == "exact_ground":
-                computed = vqe.exact_ground(h)[0]
+        preset, quantity = row["preset"], row["quantity"]
+        if preset not in results:
+            run = config.check_run(presets.get_preset(preset))
+            if run["model"] is None:
+                results[preset] = _tunneling_report(run["tunneling"])
             else:
-                computed = len(pauli.decompose(h))
-        else:
-            if tun_cache is None:
-                tun_cache = _tunneling_report(run["tunneling"])
-            if quantity not in tun_cache:
-                raise ConfigError(f"unknown reproduce quantity {quantity!r}")
-            computed = tun_cache[quantity]
+                results[preset] = _exact_summary(_model_config(run))[0]
+        if quantity not in results[preset]:
+            raise ConfigError(f"unknown reproduce quantity {quantity!r}")
+        computed = results[preset][quantity]
         ref = row["reference"]
         abs_err = abs(computed - ref)
         rel_err = abs_err / abs(ref) if ref != 0 else float("inf")
-        rows_out.append((row["preset"], quantity, ref, computed, abs_err, rel_err))
+        rows_out.append((preset, quantity, ref, computed, abs_err, rel_err))
 
     tag = " (provisional reference values)" if spec["provisional"] else ""
     print(f"reproduction check: {table_id}{tag}")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .bases import BasisKind, build_momentum_squared, build_position, require_hermitian
 from .errors import DomainError, ShapeError
-from .models import MinisuperspaceKind, MinisuperspaceParams, minisuperspace_v_eff
+from .models import MinisuperspaceKind, MinisuperspaceParams
 
 
 @dataclass
@@ -195,25 +195,15 @@ def gaussian_on_grid(grid: np.ndarray, center: float, width: float) -> np.ndarra
     return psi / norm
 
 
-def double_well_parts(
-    params: MinisuperspaceParams,
-    n_qubits: int,
-    kind: MinisuperspaceKind = MinisuperspaceKind.NEG_LAMBDA_MORSE,
-) -> list[np.ndarray]:
+def double_well_parts(params: MinisuperspaceParams, n_qubits: int) -> list[np.ndarray]:
     """Kinetic and potential parts of the fifth-time barrier Hamiltonian.
 
-    For the negative-cosmological-constant kind the exponential potential is
-    continued to the symmetric quartic double well in the grid variable
-    (exp(2 alpha) -> y^2); the spherical kind keeps its exponential form.
+    The negative-cosmological-constant Morse potential is continued to the
+    symmetric quartic double well in the grid variable (exp(2 alpha) -> y^2).
     """
-    if kind not in (MinisuperspaceKind.NEG_LAMBDA_MORSE, MinisuperspaceKind.MORSE_S2):
-        raise ShapeError("double-well evolution expects a Morse-family kind")
     grid = fd_grid(n_qubits)
-    v = params.volume(kind)
-    if kind is MinisuperspaceKind.NEG_LAMBDA_MORSE:
-        pot = 2.0 * v**2 * params.k_curv * grid**2 - 2.0 * v**2 * params.Lambda * grid**4
-    else:
-        pot = minisuperspace_v_eff(kind, params)(grid)
+    v = params.volume(MinisuperspaceKind.NEG_LAMBDA_MORSE)
+    pot = 2.0 * v**2 * params.k_curv * grid**2 - 2.0 * v**2 * params.Lambda * grid**4
     kinetic = build_momentum_squared(BasisKind.FINITE_DIFFERENCE, 2**n_qubits) / 2.0
     return [kinetic, np.diag(pot.astype(complex))]
 
@@ -224,7 +214,6 @@ def double_well_eoh(
     tau_list,
     center: float,
     width: float,
-    kind: MinisuperspaceKind = MinisuperspaceKind.NEG_LAMBDA_MORSE,
     steps: int = PROFILE_STEPS,
     order: int = PROFILE_ORDER,
 ) -> list[KernelProfile]:
@@ -232,7 +221,7 @@ def double_well_eoh(
 
     Kinetic/potential splitting: both factors exponentiate exactly.
     """
-    parts = double_well_parts(params, n_qubits, kind)
+    parts = double_well_parts(params, n_qubits)
     grid = fd_grid(n_qubits)
     psi0 = gaussian_on_grid(grid, center, width)
     return _profiles(parts, grid, psi0, tau_list, steps, order)

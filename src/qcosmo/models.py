@@ -228,13 +228,16 @@ def _single_mode_xp(basis: BasisKind, dim: int):
     return x, p_sq
 
 
+def _single_mode_hamiltonian(potential, n_qubits: int, basis: BasisKind) -> np.ndarray:
+    """P^2/2 + V(X) on one mode, with V applied to X by spectral calculus."""
+    x, p_sq = _single_mode_xp(basis, 2**n_qubits)
+    return require_finite(hermitize(p_sq / 2.0 + apply_scalar_function(x, potential)))
+
+
 def starobinsky_hamiltonian(
     params: StarobinskyParams, n_qubits: int, basis: BasisKind = BasisKind.OSCILLATOR
 ) -> np.ndarray:
-    dim = 2**n_qubits
-    x, p_sq = _single_mode_xp(basis, dim)
-    v = apply_scalar_function(x, starobinsky_potential(params))
-    return require_finite(hermitize(p_sq / 2.0 + v))
+    return _single_mode_hamiltonian(starobinsky_potential(params), n_qubits, basis)
 
 
 def dark_energy_single_radius(
@@ -242,10 +245,7 @@ def dark_energy_single_radius(
     n_qubits: int,
     basis: BasisKind = BasisKind.OSCILLATOR,
 ) -> np.ndarray:
-    dim = 2**n_qubits
-    x, p_sq = _single_mode_xp(basis, dim)
-    v = apply_scalar_function(x, dark_energy_potential(params))
-    return require_finite(hermitize(p_sq / 2.0 + v))
+    return _single_mode_hamiltonian(dark_energy_potential(params), n_qubits, basis)
 
 
 def dark_energy_two_radius(
@@ -339,10 +339,7 @@ def minisuperspace_hamiltonian(
     n_qubits: int,
     basis: BasisKind = BasisKind.FINITE_DIFFERENCE,
 ) -> np.ndarray:
-    dim = 2**n_qubits
-    x, p_sq = _single_mode_xp(basis, dim)
-    v_eff = minisuperspace_v_eff(kind, params)
-    return require_finite(hermitize(p_sq / 2.0 + apply_scalar_function(x, v_eff)))
+    return _single_mode_hamiltonian(minisuperspace_v_eff(kind, params), n_qubits, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +372,8 @@ def friedmann_evolve(
     The expansion rate is taken from the energy constraint at every stage,
     3 (adot/a)^2 = Lambda + phidot^2/2 + V(phi) - 3k/a^2 (positive branch),
     and the field obeys phidot' = -3 (adot/a) phidot - dV/dphi. Fixed-step
-    fourth-order Runge-Kutta.
+    fourth-order Runge-Kutta. ``potential`` is also called once on the whole
+    field array, for the constraint residual |3 (adot/a)^2 - radicand|.
     """
     a0, phi0, phidot0 = (float(x) for x in initial)
     if a0 <= 0:
@@ -426,11 +424,11 @@ def friedmann_evolve(
         traj[i + 1] = state
 
     a, phi, phidot = traj[:, 0], traj[:, 1], traj[:, 2]
-    hub = np.array([hubble(*row) for row in traj])
-    residual = np.abs(
-        -3.0 * hub**2 - 3.0 * k / a**2 + Lambda + 0.5 * phidot**2
-        + np.array([potential(p) for p in phi])
-    )
+    rad = radicand(a, phi, phidot)
+    imaginary = rad[rad < -1e-8]  # the RK4 stages never saw the final row
+    if imaginary.size:
+        raise DomainError(f"expansion rate became imaginary (radicand {imaginary[0]:.3e})")
+    residual = np.abs(rad - 3.0 * np.sqrt(np.maximum(rad, 0.0) / 3.0) ** 2)
     return FriedmannTrajectory(ts, a, phi, phidot, residual)
 
 

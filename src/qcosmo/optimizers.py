@@ -1,6 +1,6 @@
-"""Derivative-free and finite-difference minimizers for the variational loop.
+"""A derivative-free and a finite-difference minimizer for the variational loop.
 
-All three minimizers share the same interface and bookkeeping: the objective
+Both minimizers share the same interface and bookkeeping: the objective
 is wrapped in an evaluation counter, every call is recorded, and a run stops
 when the evaluation budget is exhausted or when the best value has improved
 by less than ``tol`` over ``2 * n_params`` consecutive evaluations. Given the
@@ -116,49 +116,6 @@ def nelder_mead(f, x0, budget=600, tol=1e-9, step=0.5):
                     for i in range(1, n + 1):
                         simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
                         values[i] = fe(simplex[i])
-
-    return _run(core, f, x0, budget, tol)
-
-
-def cobyla_linear(f, x0, budget=600, tol=1e-9, rho_start=0.5, rho_end=1e-8):
-    """Linear-approximation trust region in the spirit of COBYLA.
-
-    Maintains an n+1-point simplex, fits the interpolating linear model,
-    and steps against its gradient with length equal to the current trust
-    radius. The radius shrinks when a step fails to improve the best point.
-    """
-
-    def core(fe, x0):
-        n = len(x0)
-        pts = [x0] + [x0 + rho_start * np.eye(n)[i] for i in range(n)]
-        vals = [fe(p) for p in pts]
-        rho = rho_start
-        while rho > rho_end:
-            order = np.argsort(vals)
-            pts = [pts[i] for i in order]
-            vals = [vals[i] for i in order]
-            base, fbase = pts[0], vals[0]
-            diffs = np.array([p - base for p in pts[1:]])
-            rhs = np.array([v - fbase for v in vals[1:]])
-            try:
-                grad = np.linalg.solve(diffs, rhs)
-            except np.linalg.LinAlgError:
-                grad = np.zeros(n)
-            gnorm = np.linalg.norm(grad)
-            if gnorm < 1e-14:
-                rho *= 0.5
-                pts = [base] + [base + rho * np.eye(n)[i] for i in range(n)]
-                vals = [fbase] + [fe(p) for p in pts[1:]]
-                continue
-            trial = base - rho * grad / gnorm
-            ftrial = fe(trial)
-            if ftrial < fbase:
-                worst = int(np.argmax(vals))
-                pts[worst], vals[worst] = trial, ftrial
-            else:
-                rho *= 0.5
-                pts = [base] + [base + rho * np.eye(n)[i] for i in range(n)]
-                vals = [fbase] + [fe(p) for p in pts[1:]]
 
     return _run(core, f, x0, budget, tol)
 

@@ -16,7 +16,6 @@ from .errors import ShapeError
 
 class OptimizerKind(enum.Enum):
     NELDER_MEAD = "nelder-mead"
-    COBYLA = "cobyla"
     GRADIENT_DESCENT = "gradient-descent"
 
 
@@ -37,7 +36,6 @@ class VqeResult:
     energy: float
     params: np.ndarray
     trace: list[tuple[int, float]] = field(default_factory=list)
-    wall_time: float = 0.0
     converged: bool = False
     n_evals: int = 0
     eval_times: list[float] = field(default_factory=list)  # cumulative seconds
@@ -45,7 +43,6 @@ class VqeResult:
 
 _MINIMIZERS = {
     OptimizerKind.NELDER_MEAD: optimizers.nelder_mead,
-    OptimizerKind.COBYLA: optimizers.cobyla_linear,
     OptimizerKind.GRADIENT_DESCENT: optimizers.gradient_descent,
 }
 
@@ -73,10 +70,6 @@ def run_vqe(hamiltonian, ansatz: AnsatzSpec, opt: OptimizerConfig) -> VqeResult:
     if h.shape[0] != 2**ansatz.n_qubits:
         raise ShapeError("hamiltonian and ansatz dimensions differ")
 
-    def energy(theta):
-        psi = apply_circuit(circuit, theta)
-        return float(np.vdot(psi, h @ psi).real)
-
     # budgets below n_params + 1 cannot converge but still yield a valid
     # partial result (converged=False)
     rng = np.random.default_rng(opt.seed)
@@ -85,24 +78,18 @@ def run_vqe(hamiltonian, ansatz: AnsatzSpec, opt: OptimizerConfig) -> VqeResult:
     start = time.perf_counter()
     eval_times: list[float] = []
 
-    def timed_energy(theta):
-        val = energy(theta)
+    def energy(theta):
+        psi = apply_circuit(circuit, theta)
+        val = float(np.vdot(psi, h @ psi).real)
         eval_times.append(time.perf_counter() - start)
         return val
 
-    res = _MINIMIZERS[opt.kind](timed_energy, theta0, budget=opt.budget, tol=opt.tol)
-    elapsed = time.perf_counter() - start
-
-    trace = []
-    best = np.inf
-    for i, val in enumerate(res.history):
-        best = min(best, val)
-        trace.append((i, best))
+    res = _MINIMIZERS[opt.kind](energy, theta0, budget=opt.budget, tol=opt.tol)
+    best = np.minimum.accumulate(res.history).tolist()
     return VqeResult(
         energy=res.fun,
         params=res.x,
-        trace=trace,
-        wall_time=elapsed,
+        trace=list(enumerate(best)),
         converged=res.converged,
         n_evals=res.n_evals,
         eval_times=eval_times,

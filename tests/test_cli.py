@@ -179,6 +179,31 @@ def test_reproduce_unknown_id(capsys):
     assert "known" in err and "table1" in err
 
 
+def test_reproduce_builds_each_preset_once(monkeypatch, capsys):
+    calls = []
+    build = models.build_model
+    monkeypatch.setattr(models, "build_model", lambda cfg: calls.append(cfg) or build(cfg))
+    assert run(["reproduce", "table4"]) == 0
+    assert len(calls) == 3  # six rows, three presets
+    assert capsys.readouterr().out.count("table4-") == 6
+
+
+def test_reproduce_unknown_quantity(monkeypatch, capsys):
+    table = {"provisional": False,
+             "rows": [{"preset": "table1", "quantity": "bogus", "reference": 1.0}]}
+    monkeypatch.setitem(presets.REPRODUCE_TABLES, "tableX", table)
+    assert run(["reproduce", "tableX"]) == 2
+    assert "unknown reproduce quantity 'bogus'" in capsys.readouterr().err
+
+
+def test_removed_optimizer_names_key(tmp_path, capsys):
+    argv = ["vqe", "--preset", "table1", "--optimizer", "cobyla", "--out", str(tmp_path)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("config error: config.vqe.optimizer must be one of")
+    assert len(err.splitlines()) == 1 and not (tmp_path / "vqe.json").exists()
+
+
 def test_env_var_out_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("QCOSMO_OUT", str(tmp_path / "envout"))
     assert run(["exact", "--preset", "table1"]) == 0
@@ -218,6 +243,7 @@ STARO = {"model": "starobinsky", "qubits": [2]}
         pytest.param("exact", {"model": "dark_matter_1", "qubits": [1, 1],
                                "params": {"a_scale": 0}}, 1, id="param-zero-division"),
         pytest.param("vqe", {**STARO, "vqe": {"reps": 0}}, 2, id="reps-0"),
+        pytest.param("vqe", {**STARO, "vqe": {"optimizer": "cobyla"}}, 2, id="optimizer-cobyla"),
         pytest.param("eoh", {"eoh": {"steps": 0}}, 2, id="steps-0"),
         pytest.param("exact", {"model": "starobinsky", "qubits": [True]}, 2, id="qubit-bool"),
         pytest.param("eoh", {"eoh": {"n_qubits": "a"}}, 2, id="n_qubits-str"),
@@ -302,7 +328,7 @@ def _configs(draw):
         "qubits": [q] if model in models.SINGLE_FIELD_POTENTIALS else [q, q],
         "basis": draw(st.sampled_from(["oscillator", "position"])),
         "vqe": {"budget": draw(st.integers(1, 20)), "reps": draw(st.integers(1, 2)),
-                "optimizer": draw(st.sampled_from(["cobyla", "nelder-mead"])),
+                "optimizer": draw(st.sampled_from(["gradient-descent", "nelder-mead"])),
                 "seed": draw(st.integers(0, 5))},
         "eoh": {"kind": draw(st.sampled_from(["interval", "double-well"])),
                 "n_qubits": draw(st.integers(1, 3)), "steps": draw(st.integers(1, 4)),

@@ -270,6 +270,48 @@ def test_friedmann_starobinsky_slow_roll_then_ringdown():
     assert traj.max_constraint_residual <= 1e-6
 
 
+def _per_row_residual(traj, potential, Lambda, k):
+    """The constraint residual written out row by row: the oracle of the vectorised one."""
+    rows = []
+    for a, phi, phidot in zip(traj.a, traj.phi, traj.phi_dot):
+        rad = Lambda + 0.5 * phidot**2 + potential(phi) - 3.0 * k / a**2
+        hub = np.sqrt(max(rad, 0.0) / 3.0)
+        rows.append(abs(-3.0 * hub**2 - 3.0 * k / a**2 + Lambda + 0.5 * phidot**2 + potential(phi)))
+    return np.array(rows)
+
+
+_STARO = StarobinskyParams()
+_FRIEDMANN_RUNS = {
+    "de-sitter": {"potential": lambda phi: 0.0, "initial": (1.0, 0.0, 0.0), "Lambda": 0.3,
+                  "t_span": (0.0, 5.0), "dt": 1e-3},
+    "starobinsky": {"potential": models.starobinsky_potential(_STARO), "initial": (1.0, -10.0, 0.0),
+                    "t_span": (0.0, 400.0), "dt": 0.01,
+                    "dpotential": models.starobinsky_potential_deriv(_STARO)},
+}
+
+
+@pytest.mark.parametrize("name", list(_FRIEDMANN_RUNS))
+def test_friedmann_residual_matches_per_row_oracle(name):
+    run = _FRIEDMANN_RUNS[name]
+    traj = models.friedmann_evolve(**run)
+    oracle = _per_row_residual(traj, run["potential"], run.get("Lambda", 0.0), 0.0)
+    assert traj.constraint_residual.shape == oracle.shape
+    assert np.max(np.abs(traj.constraint_residual - oracle)) <= 1e-12
+    assert traj.max_constraint_residual <= 1e-12
+
+
+def test_friedmann_checks_final_row():
+    """A constraint broken only at the last point, which no RK4 stage evaluates, still raises."""
+    kw = {"t_span": (0.0, 1.0), "dt": 1.0, "dpotential": lambda phi: 0.0}
+    phi_end = models.friedmann_evolve(lambda phi: 0.0, (1.0, 0.0, 1.0), **kw).phi[-1]
+
+    def dip(phi):
+        return np.where(np.abs(phi - phi_end) < 1e-3, -10.0, 0.0)
+
+    with pytest.raises(DomainError, match="radicand -9.9"):
+        models.friedmann_evolve(dip, (1.0, 0.0, 1.0), **kw)
+
+
 def test_friedmann_rejects_bad_initial_data():
     with pytest.raises(InconsistentInitialDataError):
         models.friedmann_evolve(

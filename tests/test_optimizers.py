@@ -5,7 +5,6 @@ from qcosmo import optimizers
 
 MINIMIZERS = [
     optimizers.nelder_mead,
-    optimizers.cobyla_linear,
     optimizers.gradient_descent,
 ]
 

@@ -64,11 +64,12 @@ def test_variational_bound_every_trace_point():
 
 def test_determinism_bit_for_bit():
     h = models.starobinsky_hamiltonian(models.StarobinskyParams(), 4)
-    cfg = OptimizerConfig(kind=OptimizerKind.COBYLA, budget=150, seed=7)
-    r1 = vqe.run_vqe(h, AnsatzSpec(4, reps=1), cfg)
-    r2 = vqe.run_vqe(h, AnsatzSpec(4, reps=1), cfg)
-    assert [e for _, e in r1.trace] == [e for _, e in r2.trace]
-    assert np.array_equal(r1.params, r2.params)
+    for kind in OptimizerKind:
+        cfg = OptimizerConfig(kind=kind, budget=150, seed=7)
+        r1 = vqe.run_vqe(h, AnsatzSpec(4, reps=1), cfg)
+        r2 = vqe.run_vqe(h, AnsatzSpec(4, reps=1), cfg)
+        assert [e for _, e in r1.trace] == [e for _, e in r2.trace]
+        assert np.array_equal(r1.params, r2.params)
 
 
 def test_pauli_sum_input_agrees_with_dense():
