@@ -9,15 +9,14 @@ constructions are supported:
 * finite difference: diagonal X, with only P^2 available (the standard
   three-point stencil).
 
-Multi-mode operators are built with ``lift_to_mode`` (Kronecker products,
-mode 0 leftmost) and scalar potentials are applied with
-``apply_scalar_function`` (spectral calculus).
+Scalar potentials are applied with ``apply_scalar_function`` (spectral
+calculus). The two-mode models in :mod:`qcosmo.models` take Kronecker
+products of these single-mode operators.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,21 +35,6 @@ class BasisKind(enum.Enum):
     OSCILLATOR = "oscillator"
     POSITION = "position"
     FINITE_DIFFERENCE = "fd"
-
-
-@dataclass(frozen=True)
-class BosonRegister:
-    """Ordered truncation dimensions of a multi-mode bosonic register."""
-
-    modes: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.modes or any(m < 2 for m in self.modes):
-            raise InvalidTruncationError("every mode needs dimension >= 2")
-
-    @property
-    def total_dim(self) -> int:
-        return int(np.prod(self.modes))
 
 
 def require_hermitian(op: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
@@ -137,24 +121,6 @@ def build_momentum_squared(basis: BasisKind, n: int) -> np.ndarray:
         return (n / 2.0) * body.astype(complex)
     p = build_momentum(basis, n)
     return hermitize(p @ p)
-
-
-def lift_to_mode(op: np.ndarray, mode: int, reg: BosonRegister) -> np.ndarray:
-    """Embed a single-mode operator into the register's tensor-product space.
-
-    Mode 0 is the leftmost Kronecker factor; identities fill all other modes.
-    """
-    op = np.asarray(op, dtype=complex)
-    if not 0 <= mode < len(reg.modes):
-        raise ShapeError(f"mode {mode} out of range for {len(reg.modes)} modes")
-    if op.shape != (reg.modes[mode], reg.modes[mode]):
-        raise ShapeError(
-            f"operator dim {op.shape} does not match mode dim {reg.modes[mode]}"
-        )
-    out = np.array([[1.0 + 0j]])
-    for m, dim in enumerate(reg.modes):
-        out = np.kron(out, op if m == mode else np.eye(dim, dtype=complex))
-    return out
 
 
 def apply_scalar_function(op: np.ndarray, f) -> np.ndarray:

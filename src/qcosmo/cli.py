@@ -84,19 +84,18 @@ def _model_config(run: dict) -> dict:
     return {k: run[k] for k in models.MODEL_SCHEMA}
 
 
-def _exact_summary(model_config: dict) -> tuple[dict, dict]:
-    """A model's exact ground, Pauli term count and dimension, and its resolved config."""
-    h, resolved = models.build_model(model_config)
-    summary = {
+def _exact_summary(h: np.ndarray) -> dict:
+    """The exact ground, Pauli term count and dimension of a built Hamiltonian."""
+    return {
         "exact_ground": vqe.exact_ground(h)[0],
         "pauli_terms": len(pauli.decompose(h)),
         "dim": h.shape[0],
     }
-    return summary, resolved
 
 
 def cmd_exact(args) -> int:
-    summary, resolved = _exact_summary(_model_config(_load_config(args)))
+    h, resolved = models.build_model(_model_config(_load_config(args)))
+    summary = _exact_summary(h)
     payload = {"schema_version": SCHEMA_VERSION, "config": resolved, **summary}
     out = _out_dir(args) / "exact.json"
     _write_json(out, payload)
@@ -114,8 +113,7 @@ def cmd_vqe(args) -> int:
     opt = vqe.OptimizerConfig(kind=vqe.OptimizerKind(block["optimizer"]), budget=block["budget"],
                               tol=block["tol"], seed=block["seed"])
     result = vqe.run_vqe(h, spec, opt)
-    exact, _ = vqe.exact_ground(h)
-    n_terms = len(pauli.decompose(h))
+    summary = _exact_summary(h)
 
     out_dir = _out_dir(args)
     trace_path = out_dir / "vqe_trace.csv"
@@ -129,8 +127,8 @@ def cmd_vqe(args) -> int:
         "config": resolved,
         "model": resolved["model"],
         "qubits": resolved["qubits"],
-        "pauli_terms": n_terms,
-        "exact": exact,
+        "pauli_terms": summary["pauli_terms"],
+        "exact": summary["exact_ground"],
         "vqe": result.energy,
         "seed": opt.seed,
         "optimizer": block["optimizer"],
@@ -141,7 +139,7 @@ def cmd_vqe(args) -> int:
     }
     _write_json(out_dir / "vqe.json", payload)
     print(
-        f"vqe {result.energy:.10g} vs exact {exact:.10g} "
+        f"vqe {result.energy:.10g} vs exact {summary['exact_ground']:.10g} "
         f"({result.n_evals} evals, converged={result.converged}) -> {out_dir / 'vqe.json'}"
     )
     return 0
@@ -209,7 +207,7 @@ def cmd_reproduce(args) -> int:
             if run["model"] is None:
                 results[preset] = _tunneling_report(run["tunneling"])
             else:
-                results[preset] = _exact_summary(_model_config(run))[0]
+                results[preset] = _exact_summary(models.build_model(_model_config(run))[0])
         if quantity not in results[preset]:
             raise ConfigError(f"unknown reproduce quantity {quantity!r}")
         computed = results[preset][quantity]

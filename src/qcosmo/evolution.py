@@ -200,12 +200,13 @@ def double_well_parts(params: MinisuperspaceParams, n_qubits: int) -> list[np.nd
 
     The negative-cosmological-constant Morse potential is continued to the
     symmetric quartic double well in the grid variable (exp(2 alpha) -> y^2).
+    The scalar momentum enters as -p_phi^2, as in ``minisuperspace_v_eff``.
     """
     grid = fd_grid(n_qubits)
     v = params.volume(MinisuperspaceKind.NEG_LAMBDA_MORSE)
     pot = 2.0 * v**2 * params.k_curv * grid**2 - 2.0 * v**2 * params.Lambda * grid**4
-    kinetic = build_momentum_squared(BasisKind.FINITE_DIFFERENCE, 2**n_qubits) / 2.0
-    return [kinetic, np.diag(pot.astype(complex))]
+    pot = pot - params.p_phi**2
+    return [free_interval_hamiltonian(n_qubits), np.diag(pot.astype(complex))]
 
 
 def double_well_eoh(

@@ -24,13 +24,11 @@ import numpy as np
 
 from .bases import (
     BasisKind,
-    BosonRegister,
     apply_scalar_function,
     build_momentum,
     build_momentum_squared,
     build_position,
     hermitize,
-    lift_to_mode,
     require_finite,
 )
 from .errors import ConfigError, DomainError, InconsistentInitialDataError, ShapeError
@@ -222,16 +220,26 @@ def minisuperspace_v_eff(kind: MinisuperspaceKind, params: MinisuperspaceParams)
 # ---------------------------------------------------------------------------
 # Hamiltonians
 
-def _single_mode_xp(basis: BasisKind, dim: int):
-    x = build_position(basis, dim)
-    p_sq = build_momentum_squared(basis, dim)
-    return x, p_sq
-
-
 def _single_mode_hamiltonian(potential, n_qubits: int, basis: BasisKind) -> np.ndarray:
     """P^2/2 + V(X) on one mode, with V applied to X by spectral calculus."""
-    x, p_sq = _single_mode_xp(basis, 2**n_qubits)
+    dim = 2**n_qubits
+    x, p_sq = build_position(basis, dim), build_momentum_squared(basis, dim)
     return require_finite(hermitize(p_sq / 2.0 + apply_scalar_function(x, potential)))
+
+
+def _two_mode_hamiltonian(h_x: np.ndarray, h_y: np.ndarray, couplings) -> np.ndarray:
+    """h_x (x) 1 + 1 (x) h_y, mode 0 leftmost, plus each coupling in the order given.
+
+    ``couplings`` may be a generator. Each array is dropped before the next one
+    is built, so the peak stays near three full-size matrices.
+    """
+    eye = np.eye(h_x.shape[0], dtype=complex)
+    h = np.kron(h_x, eye) + np.kron(eye, h_y)
+    del eye
+    for coupling in couplings:
+        h = h + coupling
+        del coupling
+    return require_finite(hermitize(h))
 
 
 def starobinsky_hamiltonian(
@@ -260,9 +268,11 @@ def dark_energy_two_radius(
     construction stays exact.
     """
     dim = 2**qubits_per_mode
-    reg = BosonRegister((dim, dim))
-    x, p_sq = _single_mode_xp(basis, dim)
+    x, p_sq = build_position(basis, dim), build_momentum_squared(basis, dim)
     alpha, beta = _radius_exponents(params)
+
+    def exp_x(c):
+        return apply_scalar_function(x, lambda t: np.exp(c * t))
 
     # weights and (l1, l2) exponent multiples for the five potential terms
     pieces = [
@@ -272,14 +282,10 @@ def dark_energy_two_radius(
         (-params.mu1_4, -2.0, -4.0),
         (params.mu1_4 * params.Lambda8, -2.0, -2.0),
     ]
-    h = lift_to_mode(p_sq / 2.0, 0, reg) + lift_to_mode(p_sq / 2.0, 1, reg)
-    for weight, a, b in pieces:
-        c1 = a * alpha + b * beta
-        c2 = a * beta + b * alpha
-        e1 = apply_scalar_function(x, lambda t, c1=c1: np.exp(c1 * t))
-        e2 = apply_scalar_function(x, lambda t, c2=c2: np.exp(c2 * t))
-        h = h + weight * np.kron(e1, e2)
-    return require_finite(hermitize(h))
+    couplings = (weight * np.kron(exp_x(a * alpha + b * beta), exp_x(a * beta + b * alpha))
+                 for weight, a, b in pieces)
+    kinetic = p_sq / 2.0
+    return _two_mode_hamiltonian(kinetic, kinetic, couplings)
 
 
 def dark_matter_model_one(
@@ -289,13 +295,12 @@ def dark_matter_model_one(
 ) -> np.ndarray:
     """Conformally coupled scalars: two quartic oscillators with an x^4 y^4 bridge."""
     dim = 2**qubits_per_mode
-    reg = BosonRegister((dim, dim))
-    x, p_sq = _single_mode_xp(basis, dim)
+    x, p_sq = build_position(basis, dim), build_momentum_squared(basis, dim)
     x4 = np.linalg.matrix_power(x, 4)
     h_x = p_sq / 2.0 + x @ x / 2.0 + params.lambda_X * x4
     h_y = p_sq / 2.0 + x @ x / 2.0 + params.lambda_Y * x4
     mix = (params.lambda_mix / params.a_scale**4) * np.kron(x4, x4)
-    return require_finite(hermitize(lift_to_mode(h_x, 0, reg) + lift_to_mode(h_y, 1, reg) + mix))
+    return _two_mode_hamiltonian(h_x, h_y, [mix])
 
 
 def dark_matter_model_two(
@@ -311,7 +316,6 @@ def dark_matter_model_two(
     + (lambda_mix/a^4) (P_X + X^2)^2 (P_Y + Y^2)^2.
     """
     dim = 2**qubits_per_mode
-    reg = BosonRegister((dim, dim))
     x = build_position(basis, dim)
     p = build_momentum(basis, dim)
     x2 = x @ x
@@ -329,8 +333,7 @@ def dark_matter_model_two(
     b = p_shift + x2                    # P_Y + theta Y^2 + Y^2
     b_sq = b @ b
     mix = (params.lambda_mix / params.a_scale**4) * np.kron(a_sq, b_sq)
-
-    return require_finite(hermitize(lift_to_mode(h_x, 0, reg) + lift_to_mode(h_y, 1, reg) + mix))
+    return _two_mode_hamiltonian(h_x, h_y, [mix])
 
 
 def minisuperspace_hamiltonian(
@@ -549,6 +552,10 @@ def check_model(config: dict) -> dict:
     modes = _MODELS[model][2]
     if len(qubits) != modes or len(set(qubits)) > 1:
         raise ConfigError(f"{model} takes {modes} equal qubit count(s), not {qubits}")
+    if model == "dark_matter_2" and block["basis"] == BasisKind.FINITE_DIFFERENCE.value:
+        # the model needs P itself, and the finite-difference basis defines only P^2
+        raise ConfigError("config.basis must be 'oscillator' or 'position' for dark_matter_2, "
+                          "not 'fd'")
     if sum(qubits) > MAX_QUBITS:
         raise ConfigError(f"{model} on qubits {qubits} exceeds the limit of {MAX_QUBITS} "
                           f"qubits in total (a {2**MAX_QUBITS}x{2**MAX_QUBITS} matrix)")

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from qcosmo import bases
-from qcosmo.bases import BasisKind, BosonRegister
+from qcosmo.bases import BasisKind
 from qcosmo.errors import (
     HermiticityError,
     InvalidTruncationError,
-    ShapeError,
     UnsupportedBasisError,
 )
 
@@ -103,35 +102,6 @@ def test_all_outputs_hermitian_and_psd(basis, n):
 def test_invalid_truncation(basis):
     with pytest.raises(InvalidTruncationError):
         bases.build_position(basis, 1)
-
-
-def test_lift_to_mode_ordering():
-    reg = BosonRegister((2, 2))
-    x = bases.build_position(BasisKind.OSCILLATOR, 2)
-    assert np.allclose(bases.lift_to_mode(x, 0, reg), np.kron(x, np.eye(2)))
-    assert np.allclose(bases.lift_to_mode(x, 1, reg), np.kron(np.eye(2), x))
-
-
-def test_lifted_disjoint_modes_commute():
-    reg = BosonRegister((4, 4))
-    x1 = bases.lift_to_mode(bases.build_position(BasisKind.OSCILLATOR, 4), 0, reg)
-    p2 = bases.lift_to_mode(bases.build_momentum(BasisKind.OSCILLATOR, 4), 1, reg)
-    assert np.max(np.abs(x1 @ p2 - p2 @ x1)) == 0.0
-
-
-def test_lift_spectrum_multiplicity():
-    reg = BosonRegister((4, 8))
-    a = bases.build_position(BasisKind.OSCILLATOR, 4)
-    lifted = bases.lift_to_mode(a, 0, reg)
-    w_single = np.linalg.eigvalsh(a)
-    w_lifted = np.linalg.eigvalsh(lifted)
-    assert np.allclose(w_lifted, np.sort(np.repeat(w_single, 8)), atol=1e-10)
-
-
-def test_lift_shape_mismatch():
-    reg = BosonRegister((4, 4))
-    with pytest.raises(ShapeError):
-        bases.lift_to_mode(np.eye(2), 0, reg)
 
 
 def test_apply_scalar_function_identity():

@@ -204,6 +204,16 @@ def test_removed_optimizer_names_key(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and not (tmp_path / "vqe.json").exists()
 
 
+def test_dark_matter_2_fd_names_basis_before_building(tmp_path, capsys, monkeypatch):
+    def unreachable(config):
+        raise AssertionError("the config check should refuse the basis first")
+
+    monkeypatch.setattr(models, "build_model", unreachable)
+    assert run(["exact", "--preset", "table5", "--basis", "fd", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config.basis") and len(err.splitlines()) == 1
+
+
 def test_env_var_out_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("QCOSMO_OUT", str(tmp_path / "envout"))
     assert run(["exact", "--preset", "table1"]) == 0
@@ -246,6 +256,8 @@ STARO = {"model": "starobinsky", "qubits": [2]}
         pytest.param("vqe", {**STARO, "vqe": {"optimizer": "cobyla"}}, 2, id="optimizer-cobyla"),
         pytest.param("eoh", {"eoh": {"steps": 0}}, 2, id="steps-0"),
         pytest.param("exact", {"model": "starobinsky", "qubits": [True]}, 2, id="qubit-bool"),
+        pytest.param("exact", {"model": "dark_matter_2", "qubits": [1, 1], "basis": "fd"}, 2,
+                     id="dark-matter-2-fd"),
         pytest.param("eoh", {"eoh": {"n_qubits": "a"}}, 2, id="n_qubits-str"),
         pytest.param("vqe", {**STARO, "vqe": {"rotations": "ry"}}, 2, id="rotations-str"),
         pytest.param("vqe", {**STARO, "vqe": {"rotations": []}}, 2, id="rotations-empty"),
@@ -326,7 +338,7 @@ def _configs(draw):
     config = {
         "model": model,
         "qubits": [q] if model in models.SINGLE_FIELD_POTENTIALS else [q, q],
-        "basis": draw(st.sampled_from(["oscillator", "position"])),
+        "basis": draw(st.sampled_from(["oscillator", "position", "fd"])),
         "vqe": {"budget": draw(st.integers(1, 20)), "reps": draw(st.integers(1, 2)),
                 "optimizer": draw(st.sampled_from(["gradient-descent", "nelder-mead"])),
                 "seed": draw(st.integers(0, 5))},

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -207,6 +209,20 @@ def test_double_well_tunneling_signature():
 
 
 DW_PARAMS = models.MinisuperspaceParams(Lambda=-0.5, k_curv=-2.5, v_volume=1.0)
+
+
+def test_double_well_p_phi_is_a_global_phase():
+    """-p_phi^2 shifts the potential by a constant: K changes, |K|^2 does not."""
+    taus = [0.0, 0.5, 1.0]
+    base = evolution.double_well_eoh(DW_PARAMS, 4, taus, -1.58, 0.35, steps=8)
+    shifted_params = dataclasses.replace(DW_PARAMS, p_phi=1.5)
+    shifted = evolution.double_well_eoh(shifted_params, 4, taus, -1.58, 0.35, steps=8)
+    assert np.max(np.abs(shifted[-1].values.real - base[-1].values.real)) > 0.1
+    for b, s in zip(base, shifted):
+        assert np.max(np.abs(s.squared - b.squared)) <= 1e-12
+        dev_b = np.max(np.abs(np.abs(b.exact) ** 2 - b.squared))
+        dev_s = np.max(np.abs(np.abs(s.exact) ** 2 - s.squared))
+        assert abs(dev_s - dev_b) <= 1e-12
 
 
 def _interval_case(taus, steps, order):

@@ -234,6 +234,28 @@ def test_friedmann_de_sitter():
     assert traj.max_constraint_residual <= 1e-6
 
 
+def _stiff_matter_error(dt):
+    """Largest error of (a, phi, phidot) against the closed form of a free massless field.
+
+    With V = Lambda = k = 0, H0 = phidot0 / sqrt(6) and s = 1 + 3 H0 t, the solution is
+    a = s^(1/3), phidot = phidot0 / s and phi = (sqrt(6) / 3) ln s.
+    """
+    phidot0 = 1.0
+    traj = models.friedmann_evolve(lambda phi: 0.0, (1.0, 0.0, phidot0),
+                                   t_span=(0.0, 5.0), dt=dt, dpotential=lambda phi: 0.0)
+    s = 1.0 + 3.0 * (phidot0 / np.sqrt(6.0)) * traj.t
+    exact = (s ** (1.0 / 3.0), np.sqrt(6.0) / 3.0 * np.log(s), phidot0 / s)
+    got = (traj.a, traj.phi, traj.phi_dot)
+    return max(np.max(np.abs(g - e)) for g, e in zip(got, exact))
+
+
+def test_friedmann_stiff_matter_closed_form():
+    """The integrator's own error: small at dt 0.05, and falling like dt^4 when dt halves."""
+    coarse, fine = _stiff_matter_error(0.1), _stiff_matter_error(0.05)
+    assert fine <= 5e-7
+    assert coarse / fine >= 12.0
+
+
 def test_friedmann_static():
     traj = models.friedmann_evolve(
         lambda phi: 0.0, (2.0, 0.1, 0.0), Lambda=0.0, k=0.0, t_span=(0.0, 3.0), dt=1e-3
