@@ -87,7 +87,7 @@ def _model_config(run: dict) -> dict:
 def _exact_summary(h: np.ndarray) -> dict:
     """The exact ground, Pauli term count and dimension of a built Hamiltonian."""
     return {
-        "exact_ground": vqe.exact_ground(h)[0],
+        "exact_ground": vqe.exact_ground(h),
         "pauli_terms": len(pauli.decompose(h)),
         "dim": h.shape[0],
     }

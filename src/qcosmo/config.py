@@ -53,8 +53,15 @@ def check_run(config: dict) -> dict:
     run = models.check_block(config, _RUN_SCHEMA, "config")
     if run["model"] is not None:
         run.update(models.check_model({k: run[k] for k in models.MODEL_SCHEMA}))
-    if not run["vqe"]["rotations"]:
+    block = run["vqe"]
+    if not block["rotations"]:
         raise ConfigError("config.vqe.rotations must be a non-empty list, not []")
+    if run["model"] is not None:
+        n = sum(run["qubits"])
+        n_params = AnsatzSpec(n, block["reps"], tuple(block["rotations"])).n_params
+        if n_params > models.MAX_PARAMS:
+            raise ConfigError(f"config.vqe.reps {block['reps']} gives {n_params} ansatz parameters "
+                              f"on {n} qubits, over the limit of {models.MAX_PARAMS}")
     eoh, tun = run["eoh"], run["tunneling"]
     if eoh is not None:
         grid = range(2 ** eoh["n_qubits"])

@@ -16,6 +16,7 @@ energy of about 1.1e-6 in Planck units after quantum corrections.
 from __future__ import annotations
 
 import enum
+import math
 import reprlib
 import sys
 from dataclasses import dataclass, fields
@@ -401,30 +402,32 @@ def friedmann_evolve(
             )
         if rad < -1e-8:
             raise DomainError(f"expansion rate became imaginary (radicand {rad:.3e})")
-        return np.sqrt(max(rad, 0.0) / 3.0)
+        return math.sqrt(max(rad, 0.0) / 3.0)
 
     hubble(a0, phi0, phidot0, initial_point=True)
 
-    def rhs(state):
-        a, phi, phidot = state
+    def rhs(a, phi, phidot):
         h = hubble(a, phi, phidot)
-        return np.array([a * h, phidot, -3.0 * h * phidot - dpotential(phi)])
+        return a * h, phidot, -3.0 * h * phidot - dpotential(phi)
 
+    # the step runs on plain floats: numpy arrays of three cost more than the arithmetic
     n_steps = int(np.ceil((t1 - t0) / dt))
     ts = np.empty(n_steps + 1)
     traj = np.empty((n_steps + 1, 3))
-    ts[0] = t0
-    traj[0] = (a0, phi0, phidot0)
-    state = traj[0].copy()
-    for i in range(n_steps):
-        step = min(dt, t1 - ts[i])
-        k1 = rhs(state)
-        k2 = rhs(state + 0.5 * step * k1)
-        k3 = rhs(state + 0.5 * step * k2)
-        k4 = rhs(state + step * k3)
-        state = state + (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        ts[i + 1] = ts[i] + step
-        traj[i + 1] = state
+    t, a, phi, phidot = t0, a0, phi0, phidot0
+    ts[0], traj[0] = t, (a, phi, phidot)
+    for i in range(1, n_steps + 1):
+        step = min(dt, t1 - t)
+        hs, s6 = 0.5 * step, step / 6.0
+        k1 = rhs(a, phi, phidot)
+        k2 = rhs(a + hs * k1[0], phi + hs * k1[1], phidot + hs * k1[2])
+        k3 = rhs(a + hs * k2[0], phi + hs * k2[1], phidot + hs * k2[2])
+        k4 = rhs(a + step * k3[0], phi + step * k3[1], phidot + step * k3[2])
+        a = a + s6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+        phi = phi + s6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+        phidot = phidot + s6 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
+        t = t + step
+        ts[i], traj[i] = t, (a, phi, phidot)
 
     a, phi, phidot = traj[:, 0], traj[:, 1], traj[:, 2]
     rad = radicand(a, phi, phidot)
@@ -442,6 +445,10 @@ MAX_QUBITS = 8
 """Most qubits a config may request in total: a dense 256 x 256 matrix."""
 
 QUBIT_COUNTS = range(1, MAX_QUBITS + 1)
+
+MAX_PARAMS = 2048
+"""Most ansatz parameters a config may request: a Nelder-Mead simplex of
+``MAX_PARAMS + 1`` vertices then holds 34 MB."""
 
 # model name: (parameter class, Hamiltonian builder, number of modes)
 _MODELS = {

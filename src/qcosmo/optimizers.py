@@ -1,10 +1,13 @@
 """A derivative-free and a finite-difference minimizer for the variational loop.
 
-Both minimizers share the same interface and bookkeeping: the objective
-is wrapped in an evaluation counter, every call is recorded, and a run stops
-when the evaluation budget is exhausted or when the best value has improved
-by less than ``tol`` over ``2 * n_params`` consecutive evaluations. Given the
-same starting point the iterations are fully deterministic.
+Both minimizers share the same interface and bookkeeping. The objective takes
+a stack of points, shape ``(m, n)``, and returns their ``m`` values, so a
+gradient's probes or a simplex's vertices are evaluated in one call. Every
+value is recorded one point at a time, in stack order, and a run stops when
+the evaluation budget is exhausted or when the best value has improved by
+less than ``tol`` over ``2 * n_params`` consecutive evaluations; where it
+stops does not depend on how the points were stacked. Given the same
+starting point the iterations are fully deterministic.
 """
 
 from __future__ import annotations
@@ -47,18 +50,31 @@ class _Tracker:
         self.best = np.inf
         self.best_x = None
 
-    def __call__(self, x):
-        if len(self.history) >= self.budget:
+    def __call__(self, points) -> np.ndarray:
+        """Values of a stack of points, evaluating only as many as the budget allows."""
+        left = self.budget - len(self.history)
+        if left <= 0:
             raise _Budget
-        val = float(self.f(np.asarray(x, dtype=float)))
-        self.history.append(val)
-        if val < self.best:
-            self.best = val
-            self.best_x = np.array(x, dtype=float)
-        recent = self.history[-self.window:]
-        if len(recent) == self.window and max(recent) - min(recent) < self.tol:
-            raise _Converged
-        return val
+        points = np.asarray(points, dtype=float)
+        run = points[:left]
+        values = np.asarray(self.f(run), dtype=float)
+        if values.shape != (len(run),):
+            raise ValueError(f"objective returned shape {values.shape} for {len(run)} points")
+        for x, val in zip(run, values.tolist()):
+            self.history.append(val)
+            if val < self.best:
+                self.best = val
+                self.best_x = x.copy()
+            recent = self.history[-self.window:]
+            if len(recent) == self.window and max(recent) - min(recent) < self.tol:
+                raise _Converged
+        if len(points) > left:
+            raise _Budget
+        return values
+
+    def one(self, x) -> float:
+        """Value of one point, evaluated as a stack of one."""
+        return self(np.asarray(x, dtype=float)[None])[0]
 
     def result(self, converged: bool) -> OptResult:
         return OptResult(
@@ -85,22 +101,23 @@ def _run(core, f, x0, budget, tol):
 
 
 def nelder_mead(f, x0, budget=600, tol=1e-9, step=0.5):
-    """Classic simplex search (reflect / expand / contract / shrink)."""
+    """Classic simplex search (reflect / expand / contract / shrink).
+
+    The initial simplex and each shrink are evaluated as one stack.
+    """
 
     def core(fe, x0):
-        n = len(x0)
-        simplex = [x0] + [x0 + step * np.eye(n)[i] for i in range(n)]
-        values = [fe(p) for p in simplex]
+        simplex = np.vstack([x0, x0 + step * np.eye(len(x0))])
+        values = fe(simplex)
         while True:
             order = np.argsort(values)
-            simplex = [simplex[i] for i in order]
-            values = [values[i] for i in order]
+            simplex, values = simplex[order], values[order]
             centroid = np.mean(simplex[:-1], axis=0)
             xr = centroid + (centroid - simplex[-1])
-            fr = fe(xr)
+            fr = fe.one(xr)
             if fr < values[0]:
                 xe = centroid + 2.0 * (centroid - simplex[-1])
-                fex = fe(xe)
+                fex = fe.one(xe)
                 if fex < fr:
                     simplex[-1], values[-1] = xe, fex
                 else:
@@ -109,13 +126,12 @@ def nelder_mead(f, x0, budget=600, tol=1e-9, step=0.5):
                 simplex[-1], values[-1] = xr, fr
             else:
                 xc = centroid + 0.5 * (simplex[-1] - centroid)
-                fc = fe(xc)
+                fc = fe.one(xc)
                 if fc < values[-1]:
                     simplex[-1], values[-1] = xc, fc
                 else:
-                    for i in range(1, n + 1):
-                        simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
-                        values[i] = fe(simplex[i])
+                    simplex[1:] = simplex[0] + 0.5 * (simplex[1:] - simplex[0])
+                    values[1:] = fe(simplex[1:])
 
     return _run(core, f, x0, budget, tol)
 
@@ -123,22 +139,22 @@ def nelder_mead(f, x0, budget=600, tol=1e-9, step=0.5):
 def gradient_descent(f, x0, budget=600, tol=1e-9, step0=0.5):
     """Forward-difference gradient descent with backtracking line search.
 
-    Difference step per coordinate is 1e-6 * (1 + |theta_i|). The line-search
-    step grows by 1.5x after an immediately accepted step and halves while
-    the Armijo condition fails.
+    Difference step per coordinate is 1e-6 * (1 + |theta_i|); the probes of
+    one gradient are evaluated as one stack. The line-search step grows by
+    1.5x after an immediately accepted step and halves while the Armijo
+    condition fails.
     """
 
     def core(fe, x0):
         x = np.array(x0, dtype=float)
-        fx = fe(x)
+        fx = fe.one(x)
         alpha = step0
+        diagonal = np.diag_indices(len(x))
         while True:
-            grad = np.zeros_like(x)
-            for i in range(len(x)):
-                h = 1e-6 * (1.0 + abs(x[i]))
-                xp = x.copy()
-                xp[i] += h
-                grad[i] = (fe(xp) - fx) / h
+            h = 1e-6 * (1.0 + np.abs(x))
+            probes = np.tile(x, (len(x), 1))
+            probes[diagonal] += h
+            grad = (fe(probes) - fx) / h
             gnorm = np.linalg.norm(grad)
             if gnorm < 1e-14:
                 return
@@ -147,7 +163,7 @@ def gradient_descent(f, x0, budget=600, tol=1e-9, step0=0.5):
             trial_alpha = alpha
             for _ in range(30):
                 xt = x + trial_alpha * direction
-                ft = fe(xt)
+                ft = fe.one(xt)
                 if ft < fx - 1e-4 * trial_alpha * gnorm:
                     x, fx = xt, ft
                     accepted = True

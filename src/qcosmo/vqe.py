@@ -38,7 +38,7 @@ class VqeResult:
     trace: list[tuple[int, float]] = field(default_factory=list)
     converged: bool = False
     n_evals: int = 0
-    eval_times: list[float] = field(default_factory=list)  # cumulative seconds
+    eval_times: list[float] = field(default_factory=list)  # cumulative seconds, per point
 
 
 _MINIMIZERS = {
@@ -47,11 +47,10 @@ _MINIMIZERS = {
 }
 
 
-def exact_ground(h: np.ndarray) -> tuple[float, np.ndarray]:
-    """Smallest eigenvalue and its normalized eigenvector."""
+def exact_ground(h: np.ndarray) -> float:
+    """Smallest eigenvalue of a Hermitian H, in real arithmetic when H is real."""
     h = require_hermitian(np.asarray(h, dtype=complex))
-    w, v = np.linalg.eigh(h)
-    return float(w[0]), v[:, 0]
+    return float(np.linalg.eigvalsh(h if h.imag.any() else h.real)[0])
 
 
 def run_vqe(hamiltonian, ansatz: AnsatzSpec, opt: OptimizerConfig) -> VqeResult:
@@ -61,7 +60,10 @@ def run_vqe(hamiltonian, ansatz: AnsatzSpec, opt: OptimizerConfig) -> VqeResult:
     turned into its matrix once; H is checked once, before the loop. Initial
     parameters are drawn uniformly from [-pi, pi) with the seeded generator,
     so a fixed (seed, optimizer, budget) triple reproduces the run exactly.
-    The returned trace holds the best-so-far energy at each evaluation.
+    The returned trace holds the best-so-far energy at each evaluation. The
+    optimizer hands the energy a stack of parameter vectors, whose circuits
+    run as one sweep; every point of a stack gets the stack's end time in
+    ``eval_times``.
     """
     circuit = efficient_su2_ansatz(ansatz)
     if isinstance(hamiltonian, pauli.PauliSum):
@@ -78,11 +80,10 @@ def run_vqe(hamiltonian, ansatz: AnsatzSpec, opt: OptimizerConfig) -> VqeResult:
     start = time.perf_counter()
     eval_times: list[float] = []
 
-    def energy(theta):
-        psi = apply_circuit(circuit, theta)
-        val = float(np.vdot(psi, h @ psi).real)
-        eval_times.append(time.perf_counter() - start)
-        return val
+    def energy(thetas):
+        values = [float(np.vdot(psi, h @ psi).real) for psi in apply_circuit(circuit, thetas)]
+        eval_times.extend([time.perf_counter() - start] * len(values))
+        return values
 
     res = _MINIMIZERS[opt.kind](energy, theta0, budget=opt.budget, tol=opt.tol)
     best = np.minimum.accumulate(res.history).tolist()
@@ -92,5 +93,5 @@ def run_vqe(hamiltonian, ansatz: AnsatzSpec, opt: OptimizerConfig) -> VqeResult:
         trace=list(enumerate(best)),
         converged=res.converged,
         n_evals=res.n_evals,
-        eval_times=eval_times,
+        eval_times=eval_times[:res.n_evals],
     )

@@ -32,7 +32,7 @@ def report(criterion, ok, detail):
 def test_criterion_1_starobinsky():
     t0 = time.perf_counter()
     h = models.starobinsky_hamiltonian(models.StarobinskyParams(), 4)
-    ground = vqe.exact_ground(h)[0]
+    ground = vqe.exact_ground(h)
     n_terms = len(pauli.decompose(h, zero_tol=1e-12))
     elapsed = time.perf_counter() - t0
     ok = abs(ground - 0.49785652) <= 1e-6 and n_terms == 135 and elapsed < 1.0
@@ -115,9 +115,9 @@ def test_criterion_3_exact_grounds():
     below_vacuum = True
     for qpm in (2, 3, 4):
         h = models.dark_matter_model_one(params, qpm)
-        grounds[qpm] = vqe.exact_ground(h)[0]
+        grounds[qpm] = vqe.exact_ground(h)
         below_vacuum = below_vacuum and grounds[qpm] <= h[0, 0].real
-    grid = vqe.exact_ground(models.dark_matter_model_one(params, 4, BasisKind.POSITION))[0]
+    grid = vqe.exact_ground(models.dark_matter_model_one(params, 4, BasisKind.POSITION))
     elapsed = time.perf_counter() - t0
 
     refs = {
@@ -166,7 +166,7 @@ def test_criterion_4_provisional_eight_qubit_models():
         scale = max(1.0, np.max(np.abs(h)))
         hermitian = np.max(np.abs(h - h.conj().T)) <= 1e-12 * scale
         symmetric = np.max(np.abs(h @ swap - swap @ h)) <= 1e-10 * scale
-        ground = vqe.exact_ground(h)[0]
+        ground = vqe.exact_ground(h)
         res = vqe.run_vqe(
             h, AnsatzSpec(8, reps=1),
             OptimizerConfig(kind=OptimizerKind.GRADIENT_DESCENT, budget=100, seed=0),
@@ -188,7 +188,7 @@ def test_criterion_5_vqe():
         ("table1", models.starobinsky_hamiltonian(models.StarobinskyParams(), 4)),
         ("table4-16", models.dark_matter_model_one(models.DarkMatterParams(), 2)),
     ):
-        exact = vqe.exact_ground(h)[0]
+        exact = vqe.exact_ground(h)
         best, best_seed, used = np.inf, None, 0
         bound_ok = True
         for seed in range(10):
@@ -211,7 +211,7 @@ def test_criterion_5_vqe():
 
     # 64x64 dark-energy case: bound satisfaction only
     h = models.dark_energy_single_radius(models.DarkEnergySingleRadiusParams(), 6)
-    exact = vqe.exact_ground(h)[0]
+    exact = vqe.exact_ground(h)
     res = vqe.run_vqe(
         h, AnsatzSpec(6, reps=3),
         OptimizerConfig(kind=OptimizerKind.GRADIENT_DESCENT, budget=1000, seed=0),

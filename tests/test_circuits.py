@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -152,8 +154,10 @@ def test_ground_vector_expectation():
 
 def test_param_count_mismatch():
     circuit = efficient_su2_ansatz(AnsatzSpec(2, reps=1))
-    with pytest.raises(ShapeError):
-        apply_circuit(circuit, np.zeros(circuit.n_params + 1))
+    p = circuit.n_params
+    for bad in (np.zeros(p + 1), np.zeros((3, p + 1)), np.zeros((2, 3, p)), 0.0):
+        with pytest.raises(ShapeError):
+            apply_circuit(circuit, bad)
 
 
 def test_dump_format():
@@ -239,3 +243,46 @@ def test_compiled_repeat_is_bit_identical():
     for _ in range(3):
         assert np.array_equal(apply_circuit(circuit, params), first)
         assert np.array_equal(apply_circuit(fresh, params), first)
+
+
+def assert_stack_matches_rows(circuit, stack, init=None):
+    out = apply_circuit(circuit, stack, init)
+    assert out.shape == (len(stack), 2**circuit.n_qubits)
+    for row, params in zip(out, stack):
+        assert np.array_equal(row, apply_circuit(circuit, params, init))
+
+
+@pytest.mark.parametrize("rotations", [("rz", "ry"), ("ry",)])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_stack_matches_single_calls(n, rotations):
+    # more rows than one chunk, with a part-filled last chunk
+    circuit = efficient_su2_ansatz(AnsatzSpec(n, reps=2, rotations=rotations))
+    rows = circuits.STACK_CHUNK + 5
+    stack = np.random.default_rng(n).uniform(-np.pi, np.pi, (rows, circuit.n_params))
+    assert_stack_matches_rows(circuit, stack)
+
+
+def test_stack_hand_built_circuit_and_init():
+    rng = np.random.default_rng(9)
+    init = rng.normal(size=8) + 1j * rng.normal(size=8)
+    init /= np.linalg.norm(init)
+    c = Circuit(3).ry(0).rz(0).rz(2).cnot(0, 1).ry(0).cnot(2, 0).cnot(1, 2).rz(1).ry(1).ry(0)
+    stack = rng.uniform(-np.pi, np.pi, (7, c.n_params))
+    assert_stack_matches_rows(c, stack)
+    assert_stack_matches_rows(c, stack, init)
+    assert_stack_matches_rows(Circuit(3), np.zeros((3, 0)), init)
+
+
+def test_stack_memory_is_bounded_by_chunk():
+    # 2,000 parameters: unchunked, the per-row slot matrices alone would take 256 MB
+    circuit = efficient_su2_ansatz(AnsatzSpec(1, reps=999))
+    stack = np.random.default_rng(10).uniform(-np.pi, np.pi, (2000, circuit.n_params))
+    apply_circuit(circuit, stack[:1])  # compile the plan outside the measurement
+    tracemalloc.start()
+    try:
+        out = apply_circuit(circuit, stack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (2000, 2)
+    assert peak < 32 * 2**20

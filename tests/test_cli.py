@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcosmo import cli, models, presets
+from qcosmo import cli, config, models, presets, vqe
 
 
 def run(argv):
@@ -214,6 +214,22 @@ def test_dark_matter_2_fd_names_basis_before_building(tmp_path, capsys, monkeypa
     assert err.startswith("config error: config.basis") and len(err.splitlines()) == 1
 
 
+def test_params_over_limit_names_reps_before_building(tmp_path, capsys, monkeypatch):
+    # 8 qubits and two rotation kinds give 16 * (reps + 1) parameters: reps 127 is the largest
+    base = {"model": "dark_matter_1", "qubits": [4, 4]}
+    assert config.check_run({**base, "vqe": {"reps": 127}})["vqe"]["reps"] == 127
+
+    def unreachable(spec):
+        raise AssertionError("the config check should refuse the ansatz first")
+
+    monkeypatch.setattr(vqe, "efficient_su2_ansatz", unreachable)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**base, "vqe": {"reps": 128}}))
+    assert run(["vqe", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config.vqe.reps 128 gives 2064") and len(err.splitlines()) == 1
+
+
 def test_env_var_out_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("QCOSMO_OUT", str(tmp_path / "envout"))
     assert run(["exact", "--preset", "table1"]) == 0
@@ -253,6 +269,8 @@ STARO = {"model": "starobinsky", "qubits": [2]}
         pytest.param("exact", {"model": "dark_matter_1", "qubits": [1, 1],
                                "params": {"a_scale": 0}}, 1, id="param-zero-division"),
         pytest.param("vqe", {**STARO, "vqe": {"reps": 0}}, 2, id="reps-0"),
+        pytest.param("vqe", {"model": "dark_matter_1", "qubits": [4, 4], "vqe": {"reps": 1000}}, 2,
+                     id="params-over-limit"),
         pytest.param("vqe", {**STARO, "vqe": {"optimizer": "cobyla"}}, 2, id="optimizer-cobyla"),
         pytest.param("eoh", {"eoh": {"steps": 0}}, 2, id="steps-0"),
         pytest.param("exact", {"model": "starobinsky", "qubits": [True]}, 2, id="qubit-bool"),

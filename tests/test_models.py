@@ -32,13 +32,13 @@ def hermitian_deviation(h):
 
 def test_starobinsky_ground_and_terms():
     h = models.starobinsky_hamiltonian(StarobinskyParams(), 4)
-    assert vqe.exact_ground(h)[0] == pytest.approx(0.49785652, abs=1e-6)
+    assert vqe.exact_ground(h) == pytest.approx(0.49785652, abs=1e-6)
     assert len(pauli.decompose(h)) == 135
 
 
 def test_starobinsky_free_limit_psd():
     h = models.starobinsky_hamiltonian(StarobinskyParams(M1_4=0.0), 4)
-    assert vqe.exact_ground(h)[0] >= -1e-12
+    assert vqe.exact_ground(h) >= -1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +48,7 @@ def test_dark_energy_table_values():
     params = DarkEnergySingleRadiusParams()
     for n_qubits, expected, rel in [(4, 0.43791588, 1e-6), (5, 0.00285585, 1e-5), (6, 1.11637e-6, 0.01)]:
         h = models.dark_energy_single_radius(params, n_qubits)
-        assert vqe.exact_ground(h)[0] == pytest.approx(expected, rel=rel)
+        assert vqe.exact_ground(h) == pytest.approx(expected, rel=rel)
 
 
 def test_dark_energy_hermitian():
@@ -74,7 +74,7 @@ def test_two_radius_swap_commutes():
 def test_two_radius_hermitian_and_reports():
     h = models.dark_energy_two_radius(DarkEnergyTwoRadiusParams(), 3)
     assert hermitian_deviation(h) <= 1e-12 * max(1.0, np.max(np.abs(h)))
-    assert np.isfinite(vqe.exact_ground(h)[0])
+    assert np.isfinite(vqe.exact_ground(h))
 
 
 def test_two_radius_matches_scalar_potential():
@@ -103,7 +103,7 @@ def test_model_one_pauli_counts():
 def test_model_one_decoupled_limit():
     params = DarkMatterParams(lambda_X=0.0, lambda_Y=0.0, lambda_mix=0.0)
     h = models.dark_matter_model_one(params, 2)
-    assert vqe.exact_ground(h)[0] == pytest.approx(1.0, abs=1e-12)
+    assert vqe.exact_ground(h) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_model_one_separates_without_mix():
@@ -115,7 +115,7 @@ def test_model_one_separates_without_mix():
     p2 = build_momentum_squared(BasisKind.OSCILLATOR, 4)
     h1 = p2 / 2 + x @ x / 2 + 0.005 * np.linalg.matrix_power(x, 4)
     single = np.linalg.eigvalsh(h1)[0]
-    assert vqe.exact_ground(h)[0] == pytest.approx(2 * single, abs=1e-10)
+    assert vqe.exact_ground(h) == pytest.approx(2 * single, abs=1e-10)
 
 
 def test_model_one_swap_symmetry():
@@ -148,7 +148,7 @@ def test_model_two_theta_zero_form():
 def test_model_two_kinetic_only_psd():
     params = DarkMatterParams(g_X=0.0, g_Y=0.0, lambda_mix=0.0, theta_Y=0.0)
     h = models.dark_matter_model_two(params, 2)
-    assert vqe.exact_ground(h)[0] >= -1e-10
+    assert vqe.exact_ground(h) >= -1e-10
 
 
 def test_model_two_hermitian_random_params():
@@ -179,9 +179,9 @@ def test_model_two_swap_symmetry_symmetric_params():
 
 def test_constant_shift_moves_ground_exactly():
     h = models.starobinsky_hamiltonian(StarobinskyParams(), 3)
-    g0 = vqe.exact_ground(h)[0]
+    g0 = vqe.exact_ground(h)
     c = -2.375
-    g1 = vqe.exact_ground(h + c * np.eye(h.shape[0]))[0]
+    g1 = vqe.exact_ground(h + c * np.eye(h.shape[0]))
     assert g1 - g0 == pytest.approx(c, abs=1e-12)
 
 
@@ -208,7 +208,7 @@ def test_minisuperspace_inv_oscillator_formula():
 def test_minisuperspace_neg_lambda_bounded_below():
     params = MinisuperspaceParams(Lambda=-0.5, k_curv=-2.5, v_volume=1.0)
     h = models.minisuperspace_hamiltonian(MinisuperspaceKind.NEG_LAMBDA_MORSE, params, 5)
-    ground = vqe.exact_ground(h)[0]
+    ground = vqe.exact_ground(h)
     v = models.minisuperspace_v_eff(MinisuperspaceKind.NEG_LAMBDA_MORSE, params)
     grid = np.linspace(-10, 3, 4001)
     assert np.isfinite(ground)
