@@ -45,16 +45,6 @@ class Circuit:
         self.gates.append(Gate("cnot", control, target=target))
         return self
 
-    def dump(self) -> str:
-        """Debug listing, one gate per line: ``RY q0 p3`` / ``CNOT q0 q1``."""
-        lines = []
-        for g in self.gates:
-            if g.name in ("ry", "rz"):
-                lines.append(f"{g.name.upper()} q{g.qubit} p{g.slot}")
-            else:
-                lines.append(f"CNOT q{g.qubit} q{g.target}")
-        return "\n".join(lines)
-
 
 ROTATIONS = ("ry", "rz")
 

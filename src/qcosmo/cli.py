@@ -64,9 +64,11 @@ def _load_config(args) -> dict:
 
 
 def _out_dir(args) -> Path:
-    out = args.out or os.environ.get("QCOSMO_OUT") or "."
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    path = Path(args.out or os.environ.get("QCOSMO_OUT") or ".")
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use output directory {path}: {exc}") from exc
     return path
 
 
@@ -94,10 +96,11 @@ def _exact_summary(h: np.ndarray) -> dict:
 
 
 def cmd_exact(args) -> int:
-    h, resolved = models.build_model(_model_config(_load_config(args)))
+    run = _load_config(args)
+    out = _out_dir(args) / "exact.json"
+    h, resolved = models.build_model(_model_config(run))
     summary = _exact_summary(h)
     payload = {"schema_version": SCHEMA_VERSION, "config": resolved, **summary}
-    out = _out_dir(args) / "exact.json"
     _write_json(out, payload)
     dim = summary["dim"]
     print(f"exact ground {summary['exact_ground']:.10g}  ({dim}x{dim}, "
@@ -107,6 +110,7 @@ def cmd_exact(args) -> int:
 
 def cmd_vqe(args) -> int:
     run = _load_config(args)
+    out_dir = _out_dir(args)
     h, resolved = models.build_model(_model_config(run))
     block = run["vqe"]
     spec = AnsatzSpec(sum(resolved["qubits"]), block["reps"], tuple(block["rotations"]))
@@ -115,7 +119,6 @@ def cmd_vqe(args) -> int:
     result = vqe.run_vqe(h, spec, opt)
     summary = _exact_summary(h)
 
-    out_dir = _out_dir(args)
     trace_path = out_dir / "vqe_trace.csv"
     lines = ["eval,energy,elapsed_ms"]
     for (i, energy), elapsed in zip(result.trace, result.eval_times):
@@ -149,6 +152,7 @@ def cmd_eoh(args) -> int:
     eoh = _load_config(args)["eoh"]
     if eoh is None:
         raise ConfigError("eoh command requires an 'eoh' block or preset")
+    out_dir = _out_dir(args)
     n, tau_list, steps, order = eoh["n_qubits"], eoh["tau_list"], eoh["steps"], eoh["order"]
     if eoh["kind"] == "interval":
         profiles = evolution.interval_propagation_profile(
@@ -160,7 +164,6 @@ def cmd_eoh(args) -> int:
             params, n, tau_list, eoh["center"], eoh["width"], steps=steps, order=order
         )
 
-    out_dir = _out_dir(args)
     lines = ["tau,x_index,x_value,re_K,im_K,abs2_K"]
     for prof in profiles:
         for i, (x, val) in enumerate(zip(prof.grid, prof.values)):

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import HermiticityError, ShapeError
 from .bases import require_hermitian
+from .models import MAX_QUBITS
 
 PAULI_MATRICES = {
     "I": np.eye(2, dtype=complex),
@@ -72,8 +73,10 @@ class PauliSum:
             raise ShapeError(f"Pauli coefficients must be real numbers, not {coeff.dtype}")
         coeff = coeff.astype(np.float64)
         n = self.n_qubits
-        if n < 1 or index.ndim != 1 or coeff.shape != index.shape:
-            raise ShapeError(f"{index.shape} indices and {coeff.shape} coefficients for {n} qubits")
+        # MAX_QUBITS bounds the dense matrix that reconstruct and expectation build
+        if not 1 <= n <= MAX_QUBITS or index.ndim != 1 or coeff.shape != index.shape:
+            raise ShapeError(f"{index.shape} indices and {coeff.shape} coefficients for {n} "
+                             f"qubits (1 to {MAX_QUBITS})")
         if np.any((index < 0) | (index >= 4**n)) or np.unique(index).size != index.size:
             raise ShapeError(f"Pauli indices must be unique and in [0, 4**{n})")
         for name, a in (("index", index), ("coeff", coeff)):
@@ -179,29 +182,11 @@ def reconstruct(s: PauliSum) -> np.ndarray:
 
 
 def expectation(s: PauliSum, psi: np.ndarray) -> float:
-    """<psi| sum_t c_t P_t |psi>, evaluated term by term with bit masks.
-
-    Amplitude convention per qubit: X|b> = |1-b>, Y|b> = i(-1)^b |1-b>,
-    Z|b> = (-1)^b |b>, so P|j> = phase(j) |j ^ flip>.
-    """
+    """<psi| sum_t c_t P_t |psi>, as one dense product with the reconstructed matrix."""
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (2**s.n_qubits,):
         raise ShapeError(f"state length {psi.shape} does not match {s.n_qubits} qubits")
     norm = np.linalg.norm(psi)
     if abs(norm - 1.0) > 1e-10:
         raise ShapeError(f"state norm {norm} is not 1")
-    # digit k of each index is the letter of qubit n-1-k, whose state bit is 1 << k
-    k = np.arange(s.n_qubits)
-    digit = (s.index[:, None] >> 2 * k) & 3
-    bit = 1 << k
-    flips = ((digit == 1) | (digit == 2)) @ bit
-    ys, zs = (digit == 2) @ bit, (digit == 3) @ bit
-    masks = zip(s.coeff.tolist(), flips.tolist(), ys.tolist(), zs.tolist(),
-                np.bitwise_count(ys).tolist())
-    j = np.arange(psi.size)
-    total = 0.0 + 0.0j
-    for coeff, flip, y_mask, z_mask, ny in masks:
-        signs = (-1.0) ** np.bitwise_count(j & (y_mask | z_mask))
-        amp = 1j**ny * signs
-        total += coeff * np.vdot(psi[j ^ flip], amp * psi)
-    return float(total.real)
+    return float(np.vdot(psi, reconstruct(s) @ psi).real)

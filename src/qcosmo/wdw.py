@@ -167,13 +167,6 @@ class WdwSolution:
     residual: float
     v_eff: np.ndarray
 
-    def to_csv(self) -> str:
-        """Sample table with header ``x,re_psi,im_psi,V_eff``."""
-        lines = ["x,re_psi,im_psi,V_eff"]
-        for x, p, v in zip(self.grid, self.psi, self.v_eff):
-            lines.append(f"{x:.17g},{p.real:.17g},{p.imag:.17g},{v:.17g}")
-        return "\n".join(lines)
-
 
 def integrate_zero_energy(w, domain, init, num_points: int = 2001):
     """Integrate psi'' = W(x) psi with fixed-step RK4 on a uniform grid.

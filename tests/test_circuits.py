@@ -160,11 +160,6 @@ def test_param_count_mismatch():
             apply_circuit(circuit, bad)
 
 
-def test_dump_format():
-    c = Circuit(2).ry(0).rz(1).cnot(0, 1)
-    assert c.dump().splitlines() == ["RY q0 p0", "RZ q1 p1", "CNOT q0 q1"]
-
-
 @pytest.mark.parametrize("kwargs", [{"reps": 0}, {"rotations": ()}, {"rotations": ("rx",)}])
 def test_ansatz_spec_rejects(kwargs):
     with pytest.raises(ShapeError):

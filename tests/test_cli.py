@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcosmo import cli, config, models, presets, vqe
+from qcosmo import cli, config, evolution, models, presets, vqe
 
 
 def run(argv):
@@ -234,6 +234,32 @@ def test_env_var_out_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("QCOSMO_OUT", str(tmp_path / "envout"))
     assert run(["exact", "--preset", "table1"]) == 0
     assert (tmp_path / "envout" / "exact.json").exists()
+
+
+@pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
+@pytest.mark.parametrize("below", ["", "x"], ids=["file", "below-file"])
+@pytest.mark.parametrize("command, preset", [("exact", "table1"), ("vqe", "table1"),
+                                             ("eoh", "fig13")])
+def test_out_naming_a_file_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                                   command, preset, below, via_env):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the output directory should be refused first")
+
+    for module, name in ((models, "build_model"), (vqe, "run_vqe"),
+                         (evolution, "interval_propagation_profile")):
+        monkeypatch.setattr(module, name, unreachable)
+    target = tmp_path / "a-file"
+    target.write_text("")
+    out = target / below if below else target
+    argv = [command, "--preset", preset]
+    if via_env:
+        monkeypatch.setenv("QCOSMO_OUT", str(out))
+    else:
+        argv += ["--out", str(out)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot use output directory {out}: ")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 def test_qubit_and_basis_overrides(tmp_path):

@@ -107,7 +107,9 @@ def test_to_text_matches_loop(preset):
     assert pauli.decompose(h).to_text() == text
 
 
-@pytest.mark.parametrize("preset, reps", [("table1", 3), ("table2-6q", 3), ("table5", 5)])
+# each model preset at its own ansatz depth
+@pytest.mark.parametrize("preset, reps", [(name, cfg["vqe"].get("reps", circuits.AnsatzSpec.reps))
+                                          for name, cfg in presets.PRESETS.items() if "model" in cfg])
 def test_expectation_matches_loop(preset, reps):
     h = preset_hamiltonian(preset)
     s = pauli.decompose(h)
@@ -115,7 +117,8 @@ def test_expectation_matches_loop(preset, reps):
     rng = np.random.default_rng(5)
     for _ in range(2):
         psi = circuits.apply_circuit(circuit, rng.uniform(-np.pi, np.pi, circuit.n_params))
-        assert pauli.expectation(s, psi) == loop_expectation(s, psi)
+        ref = loop_expectation(s, psi)
+        assert pauli.expectation(s, psi) == pytest.approx(ref, rel=1e-12, abs=0)
 
 
 def test_arrays_are_read_only():
@@ -287,6 +290,16 @@ def test_text_roundtrip():
     s2 = pauli.PauliSum.from_text(s.to_text())
     assert s2.n_qubits == s.n_qubits
     assert s2.labels() == s.labels() and np.array_equal(s2.coeff, s.coeff)
+
+
+def test_qubit_limit_checked_at_construction():
+    n = models.MAX_QUBITS + 1
+    with pytest.raises(ShapeError, match=f"for {n} qubits"):
+        pauli.PauliSum(n, [0], [1.0])
+    with pytest.raises(ShapeError, match=f"for {n} qubits"):
+        pauli.PauliSum.from_labels(n, ["Z" * n], [1.0])
+    with pytest.raises(ShapeError, match=f"for {n} qubits"):
+        pauli.PauliSum.from_text(f"1.0 {'Z' * n}")
 
 
 def test_duplicate_labels_rejected():

@@ -263,20 +263,6 @@ def test_wdw_solution_reports_residual_and_potential():
     assert sol.residual < 1e-2  # h^2-limited defect, reported not gated
 
 
-def test_wdw_solution_csv_format():
-    params = MinisuperspaceParams(Lambda=0.0, k_curv=1.0, v_volume=1.0)
-    sol = wdw.wdw_solve_ode(
-        MinisuperspaceKind.KANTOWSKI_SACHS, params, p_phi=1.0,
-        domain=(-1.0, 0.0), init=(1.0, 0.0), num_points=11,
-    )
-    lines = sol.to_csv().splitlines()
-    assert lines[0] == "x,re_psi,im_psi,V_eff"
-    assert len(lines) == 12
-    x, re, im, v = (float(c) for c in lines[1].split(","))
-    assert x == -1.0 and re == 1.0 and im == 0.0
-    assert v == pytest.approx(sol.v_eff[0])
-
-
 def test_wdw_ode_overflow_reports_safe_bound():
     params = MinisuperspaceParams(Lambda=1.0, k_curv=0.0, v_volume=1.0)
     with pytest.raises(DomainTruncationError) as info:
