@@ -114,10 +114,10 @@ class _Plan(NamedTuple):
     ``ry``/``rz`` hold the parameter slots of each rotation kind. ``chains``
     is an (F, L) array: row f lists, in gate order, the slots whose 2x2s fuse
     into the f-th single-qubit unitary, padded with slot -1, which
-    ``apply_circuit`` sets to the identity. ``steps`` runs in order; a step
-    is either ``(shape, f, None)``, fused unitary f on the
-    ``(2**q, 2, 2**(n-q-1))`` view of the state, or ``(None, -1, perm)``, a
-    run of CNOTs as one gather ``psi[perm]``.
+    ``apply_circuit`` sets to the identity. Row 0 is all padding, the chain
+    of an untouched qubit. ``steps`` runs in order; a step is either
+    ``(layer, None)``, a run of rotations with ``layer[q]`` the chain of
+    qubit q, or ``(None, perm)``, a run of CNOTs as one gather ``psi[perm]``.
     """
 
     ry: np.ndarray
@@ -128,27 +128,27 @@ class _Plan(NamedTuple):
 
 def _compile(circuit: Circuit) -> _Plan:
     n = circuit.n_qubits
-    ry, rz, chains, steps = [], [], [], []
-    run: dict[int, list[int]] = {}  # qubit -> its slots in the current rotation run
+    ry, rz, chains, steps = [], [], [[]], []
     for g in circuit.gates:
         if g.name == "cnot":
-            run = {}
-            if not steps or steps[-1][2] is None:
-                steps.append((None, -1, np.arange(2**n)))
-            steps[-1] = (None, -1, _apply_cnot(steps[-1][2], n, g.qubit, g.target))
+            if not steps or steps[-1][1] is None:
+                steps.append((None, np.arange(2**n)))
+            steps[-1] = (None, _apply_cnot(steps[-1][1], n, g.qubit, g.target))
         elif g.name in ROTATIONS:
             (ry if g.name == "ry" else rz).append(g.slot)
-            if g.qubit not in run:
-                run[g.qubit] = []
-                chains.append(run[g.qubit])
-                steps.append(((2**g.qubit, 2, 2 ** (n - g.qubit - 1)), len(chains) - 1, None))
-            run[g.qubit].append(g.slot)
+            if not steps or steps[-1][0] is None:
+                steps.append((np.zeros(n, dtype=np.intp), None))
+            layer = steps[-1][0]
+            if not layer[g.qubit]:
+                layer[g.qubit] = len(chains)
+                chains.append([])
+            chains[layer[g.qubit]].append(g.slot)
         else:
             raise ShapeError(f"unknown gate {g.name!r}")
-    width = max(map(len, chains), default=1)
+    width = max(1, *map(len, chains))
     padded = [c + [-1] * (width - len(c)) for c in chains]
     return _Plan(np.array(ry, dtype=np.intp), np.array(rz, dtype=np.intp),
-                 np.array(padded, dtype=np.intp).reshape(len(chains), width), steps)
+                 np.array(padded, dtype=np.intp), steps)
 
 
 def _plan_of(circuit: Circuit) -> _Plan:
@@ -157,6 +157,15 @@ def _plan_of(circuit: Circuit) -> _Plan:
     if circuit._plan is None or circuit._plan[0] != key:
         circuit._plan = (key, _compile(circuit))
     return circuit._plan[1]
+
+
+def _kron(us: np.ndarray) -> np.ndarray:
+    """``us[0] ⊗ us[1] ⊗ ...`` of a (k, 2, 2, rows) stack, as (rows, 2**k, 2**k)."""
+    k = np.ones((1, 1, us.shape[-1]), dtype=complex)
+    for u in us:
+        d = 2 * len(k)
+        k = (k[:, None, :, None] * u[None, :, None, :]).reshape(d, d, -1)
+    return np.ascontiguousarray(k.transpose(2, 0, 1))
 
 
 STACK_CHUNK = 64
@@ -176,9 +185,11 @@ def apply_circuit(circuit: Circuit, params, init: np.ndarray | None = None) -> n
     stack of one, so every row equals its one-point call bit for bit.
 
     The gate list is compiled once into a plan cached on the circuit: each
-    run of rotations becomes one fused 2x2 per touched qubit, and each run
-    of CNOTs one index permutation. A stack is swept ``STACK_CHUNK`` rows
-    at a time.
+    run of rotations becomes one fused 2x2 per qubit, and each run of CNOTs
+    one index permutation. A rotation run acts on each row's state, seen as
+    a ``(2**h, 2**(n-h))`` matrix with h = n // 2, as ``L @ psi @ R.T``:
+    ``L`` is the Kronecker product of the first h qubits' 2x2s and ``R``
+    that of the rest. A stack is swept ``STACK_CHUNK`` rows at a time.
     """
     params = np.asarray(params, dtype=float)
     if params.ndim not in (1, 2) or params.shape[-1] != circuit.n_params:
@@ -190,28 +201,32 @@ def apply_circuit(circuit: Circuit, params, init: np.ndarray | None = None) -> n
     if psi0.shape != (2**n,):
         raise ShapeError(f"initial state has wrong length {psi0.shape}")
     plan = _plan_of(circuit)
+    h = n // 2
     stack = params if params.ndim == 2 else params[None]
     out = np.empty((len(stack), 2**n), dtype=complex)
     for lo in range(0, len(stack), STACK_CHUNK):
-        half = stack[lo:lo + STACK_CHUNK] / 2
-        rows = len(half)
-        u = np.zeros((rows, circuit.n_params + 1, 2, 2), dtype=complex)  # one 2x2 per slot
-        u[:, -1] = np.eye(2)
-        ry, rz = half.take(plan.ry, axis=1), half.take(plan.rz, axis=1)
+        # the row axis goes last, so each elementwise op runs along it
+        half = np.ascontiguousarray(stack[lo:lo + STACK_CHUNK].T) / 2
+        rows = half.shape[1]
+        u = np.zeros((circuit.n_params + 1, 2, 2, rows), dtype=complex)  # one 2x2 per slot
+        u[-1, 0, 0] = u[-1, 1, 1] = 1
+        ry, rz = half[plan.ry], half[plan.rz]
         c, s = np.cos(ry), np.sin(ry)
-        u[:, plan.ry] = np.stack([c, -s, s, c], axis=-1).reshape(rows, -1, 2, 2)
+        u[plan.ry, 0, 0] = u[plan.ry, 1, 1] = c
+        u[plan.ry, 0, 1], u[plan.ry, 1, 0] = -s, s
         e = np.exp(-1j * rz)
-        u[:, plan.rz, 0, 0], u[:, plan.rz, 1, 1] = e, e.conj()
-        # take(..., axis=1) is the gather u[:, idx], at a quarter of its call overhead
-        fused = u.take(plan.chains[:, 0], axis=1)
+        u[plan.rz, 0, 0], u[plan.rz, 1, 1] = e, e.conj()
+        fused = u[plan.chains[:, 0]]
         for k in range(1, plan.chains.shape[1]):
-            fused = np.matmul(u.take(plan.chains[:, k], axis=1), fused)
-        fused = fused[:, :, None]  # broadcast over the leading axis of each step's view
+            a = u[plan.chains[:, k]]
+            fused = a[:, :, :1] * fused[:, None, 0] + a[:, :, 1:] * fused[:, None, 1]
         psi = out[lo:lo + rows]
         psi[:] = psi0
-        for shape, f, perm in plan.steps:
+        for layer, perm in plan.steps:
             if perm is None:
-                psi = np.matmul(fused[:, f], psi.reshape(rows, *shape)).reshape(rows, -1)
+                left, right = _kron(fused[layer[:h]]), _kron(fused[layer[h:]])
+                psi = left @ psi.reshape(rows, 2**h, -1) @ right.transpose(0, 2, 1)
+                psi = psi.reshape(rows, -1)
             else:
                 psi = psi.take(perm, axis=1)
         out[lo:lo + rows] = psi

@@ -131,6 +131,8 @@ class PauliSum:
 def _n_qubits_of(dim: int) -> int:
     if dim < 2 or dim & (dim - 1):
         raise ShapeError(f"dimension {dim} is not a power of 2 >= 2")
+    if dim > 2**MAX_QUBITS:
+        raise ShapeError(f"dimension {dim} is over the limit of {2**MAX_QUBITS} ({MAX_QUBITS} qubits)")
     return dim.bit_length() - 1
 
 

@@ -181,6 +181,75 @@ def test_compiled_matches_interpreter(n, rotations):
     assert_matches_oracles(circuit, rng.uniform(-np.pi, np.pi, circuit.n_params))
 
 
+def test_compiled_matches_interpreter_at_table4_256_depth():
+    # the table4-256 ansatz: 8 qubits, reps 5, 96 parameters
+    circuit = efficient_su2_ansatz(AnsatzSpec(8, reps=5))
+    rng = np.random.default_rng(12)
+    assert_matches_oracles(circuit, rng.uniform(-np.pi, np.pi, circuit.n_params))
+
+
+@pytest.mark.parametrize("qubits", [(0,), (1, 2), (0, 2)])
+def test_layer_in_left_factor_only(qubits):
+    # at 6 qubits the left factor holds qubits 0-2; the right one stays the identity
+    c = Circuit(6)
+    for q in qubits:
+        c.ry(q).rz(q)
+    c.cnot(0, 5).cnot(4, 1)
+    for q in qubits:
+        c.ry(q)
+    rng = np.random.default_rng(13)
+    init = rng.normal(size=64) + 1j * rng.normal(size=64)
+    init /= np.linalg.norm(init)
+    assert_matches_oracles(c, rng.uniform(-np.pi, np.pi, c.n_params))
+    assert_matches_oracles(c, rng.uniform(-np.pi, np.pi, c.n_params), init)
+
+
+@pytest.mark.parametrize("qubits", [(3,), (4, 5), (5, 3)])
+def test_layer_in_right_factor_only(qubits):
+    # at 6 qubits the right factor holds qubits 3-5; the left one stays the identity
+    c = Circuit(6)
+    for q in qubits:
+        c.rz(q).ry(q)
+    c.cnot(5, 0).cnot(3, 2)
+    for q in qubits:
+        c.rz(q)
+    rng = np.random.default_rng(14)
+    init = rng.normal(size=64) + 1j * rng.normal(size=64)
+    init /= np.linalg.norm(init)
+    assert_matches_oracles(c, rng.uniform(-np.pi, np.pi, c.n_params))
+    assert_matches_oracles(c, rng.uniform(-np.pi, np.pi, c.n_params), init)
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 7])
+def test_layer_touching_one_qubit_at_odd_splits(n):
+    # n // 2 qubits go left and the rest right, so the right factor is the larger
+    rng = np.random.default_rng(n)
+    init = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    init /= np.linalg.norm(init)
+    for q in sorted({0, n // 2 - 1, n // 2, n - 1} - {-1}):
+        c = Circuit(n).ry(q).rz(q).ry(q)
+        assert_matches_oracles(c, rng.uniform(-np.pi, np.pi, c.n_params))
+        assert_matches_oracles(c, rng.uniform(-np.pi, np.pi, c.n_params), init)
+
+
+def test_layers_between_descending_cnots():
+    # every CNOT run has control > target, and each rotation run straddles the split
+    c = Circuit(5).ry(0).rz(4).ry(2)
+    c.cnot(4, 0).cnot(2, 1)
+    c.rz(1).ry(3).rz(0)
+    c.cnot(3, 2).cnot(1, 0).cnot(4, 3)
+    c.ry(4).ry(1).rz(4).rz(2)
+    c.cnot(2, 0)
+    c.ry(3)
+    rng = np.random.default_rng(15)
+    init = rng.normal(size=32) + 1j * rng.normal(size=32)
+    init /= np.linalg.norm(init)
+    for _ in range(3):
+        assert_matches_oracles(c, rng.uniform(-np.pi, np.pi, c.n_params))
+        assert_matches_oracles(c, rng.uniform(-np.pi, np.pi, c.n_params), init)
+    assert_stack_matches_rows(c, rng.uniform(-np.pi, np.pi, (9, c.n_params)), init)
+
+
 def test_compiled_hand_built_circuit():
     # a CNOT splits two rotation runs on qubit 0; CNOT(2, 0) has control > target
     c = Circuit(3).ry(0).rz(0).rz(2).cnot(0, 1).ry(0).cnot(2, 0).cnot(1, 2).rz(1).ry(1).ry(0)

@@ -250,11 +250,16 @@ def test_count_permutation_covariant():
     assert len(pauli.decompose(hp)) == len(pauli.decompose(h))
 
 
-def test_rejects_bad_inputs():
+def test_rejects_bad_inputs(monkeypatch):
     with pytest.raises(ShapeError):
         pauli.decompose(np.eye(3, dtype=complex))
     with pytest.raises(ShapeError, match="^dimension 0 is not a power of 2 >= 2$"):
         pauli.decompose(np.zeros((0, 0)))
+    with monkeypatch.context() as m:
+        # refused on its dimension, before the transform runs
+        m.setattr(pauli, "_pauli_transform", lambda *a: pytest.fail("transform ran"))
+        with pytest.raises(ShapeError, match="^dimension 512 is over the limit of 256 \\(8 qubits\\)$"):
+            pauli.decompose(np.diag(np.arange(512.0)))
     with pytest.raises(HermiticityError):
         pauli.decompose(np.array([[0, 1], [0, 0]], dtype=complex))
 
