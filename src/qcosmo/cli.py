@@ -234,28 +234,26 @@ def cmd_reproduce(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # the options of exact, vqe and eoh, declared once and shared as a parent
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="JSON run configuration")
+    common.add_argument("--preset", help=f"named preset, one of {sorted(presets.PRESETS)}")
+    common.add_argument("--seed", type=int, default=None)
+    common.add_argument("--out", help="output directory (default $QCOSMO_OUT or .)")
+    common.add_argument("--qubits", help="qubit counts, e.g. 4 or 4,4")
+    common.add_argument("--basis")
+    common.add_argument("--optimizer")
+    common.add_argument("--budget", type=int, default=None)
+    common.add_argument("--steps", type=int, default=None)
+    common.add_argument("--order", type=int, default=None)
+
     parser = argparse.ArgumentParser(
         prog="qcosmo",
         description="Quantum cosmology toolkit: exact spectra, VQE, and fifth-time evolution.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--config", help="JSON run configuration")
-        p.add_argument("--preset", help=f"named preset, one of {sorted(presets.PRESETS)}")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", help="output directory (default $QCOSMO_OUT or .)")
-        p.add_argument("--qubits", help="qubit counts, e.g. 4 or 4,4")
-        p.add_argument("--basis")
-        p.add_argument("--optimizer")
-        p.add_argument("--budget", type=int, default=None)
-        p.add_argument("--steps", type=int, default=None)
-        p.add_argument("--order", type=int, default=None)
-
     for name, fn in (("exact", cmd_exact), ("vqe", cmd_vqe), ("eoh", cmd_eoh)):
-        p = sub.add_parser(name)
-        add_common(p)
-        p.set_defaults(fn=fn)
+        sub.add_parser(name, parents=[common]).set_defaults(fn=fn)
 
     p = sub.add_parser("reproduce")
     p.add_argument("table", help=f"one of {sorted(presets.REPRODUCE_TABLES)}")

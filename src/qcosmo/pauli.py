@@ -5,8 +5,9 @@ tensor products of {I, X, Y, Z}, with c_P = Tr(P H) / 2^n real. Labels are
 strings over "IXYZ" with qubit 0 the leftmost character (most significant
 bit of the state index).
 
-The transform is computed one qubit at a time on the reshaped coefficient
-tensor, so no 2^n x 2^n Pauli string is ever materialized.
+The transform is computed one qubit at a time, each as a real 4 x 4 GEMM on
+the flat coefficient vector, so no 2^n x 2^n Pauli string is ever
+materialized.
 """
 
 from __future__ import annotations
@@ -29,26 +30,19 @@ _LABELS = "IXYZ"
 _LABEL_CODES = np.array([ord(c) for c in _LABELS], dtype=np.uint32)  # sorted
 _DIGITS = str.maketrans(_LABELS, "0123")
 
-# W[s, 2j+k] = P_s[k, j]: contracts one (row, col) qubit index pair into a
-# Pauli-coefficient axis (trace convention Tr(P H)).
-_W = np.array(
+# K[s, 2j+k] = P_s[k, j] for I, X and Z, and -i * Y[k, j] for Y: one qubit's
+# Pauli change of basis with Y's phase taken out, so every entry is 0 or +-1.
+# K is symmetric, so it serves both directions: decompose (c_s = Tr(P_s H))
+# puts back +i per Y letter and reconstruct (sum_s c_s P_s) -i per Y letter,
+# each once, as a vector from _phase.
+_KERNEL = np.array(
     [
         [1, 0, 0, 1],
         [0, 1, 1, 0],
-        [0, 1j, -1j, 0],
+        [0, 1, -1, 0],
         [1, 0, 0, -1],
     ],
-    dtype=complex,
-)
-# V[2j+k, s] = P_s[j, k]: inverse direction, Pauli axis back to matrix indices.
-_V = np.array(
-    [
-        [1, 0, 0, 1],
-        [0, 1, -1j, 0],
-        [0, 1, 1j, 0],
-        [1, 0, 0, -1],
-    ],
-    dtype=complex,
+    dtype=np.float64,
 )
 
 
@@ -77,7 +71,9 @@ class PauliSum:
         if not 1 <= n <= MAX_QUBITS or index.ndim != 1 or coeff.shape != index.shape:
             raise ShapeError(f"{index.shape} indices and {coeff.shape} coefficients for {n} "
                              f"qubits (1 to {MAX_QUBITS})")
-        if np.any((index < 0) | (index >= 4**n)) or np.unique(index).size != index.size:
+        # a stable sort is one linear pass over decompose's already sorted indices
+        repeated = np.any(np.diff(np.sort(index, kind="stable")) == 0)
+        if np.any((index < 0) | (index >= 4**n)) or repeated:
             raise ShapeError(f"Pauli indices must be unique and in [0, 4**{n})")
         for name, a in (("index", index), ("coeff", coeff)):
             a.setflags(write=False)
@@ -136,11 +132,31 @@ def _n_qubits_of(dim: int) -> int:
     return dim.bit_length() - 1
 
 
-def _pauli_transform(t: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Apply the per-qubit 4x4 kernel along every axis of a (4,) * n tensor."""
-    for ax in range(t.ndim):
-        t = np.moveaxis(np.tensordot(kernel, t, axes=([1], [ax])), 0, ax)
-    return t
+def _pauli_transform(x: np.ndarray, n: int) -> np.ndarray:
+    """Apply ``_KERNEL`` along each base-4 digit of a flat length-4**n vector.
+
+    Each pass is one GEMM, ``(K @ x.reshape(4, -1)).T`` written as
+    ``x.reshape(4, -1).T @ K`` (K is symmetric) so BLAS reads the transpose in
+    place: it contracts the leading digit and rotates it to the end, and
+    after n passes the digits are back in order. Each output adds two values
+    and rounds once, so the qubit order fixes the rounding; the tests hold
+    qubit 0 first to the per-axis ``tensordot`` oracle bit for bit.
+    """
+    for _ in range(n):
+        x = (x.reshape(4, -1).T @ _KERNEL).reshape(-1)
+    return x
+
+
+def _phase(n: int, y: complex) -> np.ndarray:
+    """y**(number of Y letters) of every flat Pauli index.
+
+    The outer product of n copies of (1, 1, y, 1), built by concatenation so
+    that only the Y quarter of each step is multiplied.
+    """
+    phase = np.ones(1, dtype=complex)
+    for _ in range(n):
+        phase = np.concatenate([phase, phase, y * phase, phase])
+    return phase
 
 
 def _labels(indices: np.ndarray, n: int) -> list[str]:
@@ -156,14 +172,16 @@ def _labels(indices: np.ndarray, n: int) -> list[str]:
 
 def decompose(h: np.ndarray, zero_tol: float = 1e-12) -> PauliSum:
     """Expand a Hermitian matrix in the Pauli basis, dropping tiny terms."""
-    h = np.asarray(h, dtype=complex)
+    h = np.asarray(h)
     n = _n_qubits_of(h.shape[0])
     require_hermitian(h)
-    # interleave (row_q, col_q) pairs then merge each pair into one axis
+    if not (np.iscomplexobj(h) and h.imag.any()):
+        h = h.real  # a real H transforms in real arithmetic
+    # interleave (row_q, col_q) pairs so each qubit's pair is one base-4 digit
     order = [ax for q in range(n) for ax in (q, n + q)]
-    t = h.reshape((2,) * (2 * n)).transpose(order).reshape((4,) * n)
-    coeffs = _pauli_transform(t, _W).reshape(-1) / h.shape[0]
-    max_imag = np.max(np.abs(coeffs.imag)) if coeffs.size else 0.0
+    t = h.reshape((2,) * (2 * n)).transpose(order).reshape(-1)
+    coeffs = _phase(n, 1j) * (_pauli_transform(t, n) / h.shape[0])
+    max_imag = np.max(np.abs(coeffs.imag))
     if max_imag > 1e-10 * max(1.0, np.max(np.abs(coeffs))):
         raise HermiticityError(f"complex Pauli coefficient ({max_imag:.3e}) from Hermitian input")
     kept = np.flatnonzero(np.abs(coeffs) > zero_tol)
@@ -173,14 +191,16 @@ def decompose(h: np.ndarray, zero_tol: float = 1e-12) -> PauliSum:
 def reconstruct(s: PauliSum) -> np.ndarray:
     """Dense matrix sum_t coeff_t * (tensor product of Pauli factors)."""
     n = s.n_qubits
-    coeffs = np.zeros(4**n, dtype=complex)
-    coeffs[s.index] = s.coeff
-    t = _pauli_transform(coeffs.reshape((4,) * n), _V)
-    # split each merged (row, col) axis back out and deinterleave
-    t = t.reshape((2,) * (2 * n))
+    phase = _phase(n, -1j)[s.index]
+    # real arithmetic unless some term has an odd number of Y letters
+    terms = phase * s.coeff if phase.imag.any() else phase.real * s.coeff
+    coeffs = np.zeros(4**n, dtype=terms.dtype)
+    coeffs[s.index] = terms
+    # split each base-4 digit back into (row, col) bits and deinterleave
+    t = _pauli_transform(coeffs, n).reshape((2,) * (2 * n))
     rows = [2 * q for q in range(n)]
     cols = [2 * q + 1 for q in range(n)]
-    return t.transpose(rows + cols).reshape(2**n, 2**n)
+    return np.ascontiguousarray(t.transpose(rows + cols), dtype=complex).reshape(2**n, 2**n)
 
 
 def expectation(s: PauliSum, psi: np.ndarray) -> float:

@@ -39,6 +39,43 @@ def test_exact_table4(tmp_path):
     assert np.isfinite(payload["exact_ground"])
 
 
+# every model preset's Pauli term count, a figure that moves if the transform's rounding does
+PAULI_TERMS = {"table1": 135, "table2-4q": 135, "table2-5q": 499, "table2-6q": 1541,
+               "table3": 17801, "table4-16": 25, "table4-64": 361, "table4-256": 3025,
+               "table5": 10609}
+
+
+def test_pauli_terms_cover_every_model_preset():
+    assert sorted(PAULI_TERMS) == sorted(n for n, cfg in presets.PRESETS.items() if "model" in cfg)
+
+
+@pytest.mark.parametrize("preset, terms", PAULI_TERMS.items())
+def test_exact_writes_pauli_terms(tmp_path, capsys, preset, terms):
+    assert run(["exact", "--preset", preset, "--out", str(tmp_path)]) == 0
+    assert read_json(tmp_path / "exact.json")["pauli_terms"] == terms
+
+
+_NO_OPTIONS = dict.fromkeys(["config", "preset", "seed", "out", "qubits", "basis", "optimizer",
+                             "budget", "steps", "order"])
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["exact", "--config", "c.json", "--preset", "table1", "--seed", "3", "--out", "d",
+      "--qubits", "4,4", "--basis", "fd", "--optimizer", "spsa", "--budget", "20",
+      "--steps", "5", "--order", "2"],
+     {"command": "exact", "fn": cli.cmd_exact, "config": "c.json", "preset": "table1",
+      "seed": 3, "out": "d", "qubits": "4,4", "basis": "fd", "optimizer": "spsa",
+      "budget": 20, "steps": 5, "order": 2}),
+    (["vqe", "--budget=9", "--seed", "-1"],
+     {**_NO_OPTIONS, "command": "vqe", "fn": cli.cmd_vqe, "budget": 9, "seed": -1}),
+    (["eoh", "--preset", "fig13", "--steps", "7"],
+     {**_NO_OPTIONS, "command": "eoh", "fn": cli.cmd_eoh, "preset": "fig13", "steps": 7}),
+    (["reproduce", "table2"], {"command": "reproduce", "fn": cli.cmd_reproduce, "table": "table2"}),
+], ids=["exact", "vqe", "eoh", "reproduce"])
+def test_parser_namespaces(argv, expected):
+    assert vars(cli.build_parser().parse_args(argv)) == expected
+
+
 def test_malformed_config_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

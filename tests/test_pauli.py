@@ -27,12 +27,35 @@ def brute_force_decompose(h):
     return coeffs
 
 
-def loop_decompose(h, zero_tol=1e-12):
-    """decompose's former per-term listing, kept as its oracle: (coeff, label) pairs."""
+# The former per-axis tensordot transform and its two complex kernels, frozen
+# here as the oracle that pauli's real-kernel transform must match bit for bit.
+# W[s, 2j+k] = P_s[k, j]: contracts one (row, col) qubit index pair into a
+# Pauli-coefficient axis (trace convention Tr(P H)).
+ORACLE_W = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0], [1, 0, 0, -1]])
+# V[2j+k, s] = P_s[j, k]: inverse direction, Pauli axis back to matrix indices.
+ORACLE_V = np.array([[1, 0, 0, 1], [0, 1, -1j, 0], [0, 1, 1j, 0], [1, 0, 0, -1]])
+
+
+def tensordot_transform(t, kernel):
+    """Apply the per-qubit 4x4 kernel along every axis of a (4,) * n tensor, qubit 0 first."""
+    for ax in range(t.ndim):
+        t = np.moveaxis(np.tensordot(kernel, t, axes=([1], [ax])), 0, ax)
+    return t
+
+
+def oracle_coeffs(h):
+    """Every one of the 4**n complex coefficients Tr(P H) / 2**n, by the tensordot transform."""
+    h = np.asarray(h, dtype=complex)
     n = int(np.log2(h.shape[0]))
     order = [ax for q in range(n) for ax in (q, n + q)]
     t = h.reshape((2,) * (2 * n)).transpose(order).reshape((4,) * n)
-    coeffs = pauli._pauli_transform(t, pauli._W).reshape(-1) / h.shape[0]
+    return tensordot_transform(t, ORACLE_W).reshape(-1) / h.shape[0]
+
+
+def loop_decompose(h, zero_tol=1e-12):
+    """decompose's former per-term listing, kept as its oracle: (coeff, label) pairs."""
+    n = int(np.log2(h.shape[0]))
+    coeffs = oracle_coeffs(h)
     terms = []
     for flat_index in np.nonzero(np.abs(coeffs) > zero_tol)[0]:
         digits = np.base_repr(flat_index, 4).zfill(n)
@@ -47,7 +70,7 @@ def loop_reconstruct(s):
     coeffs = np.zeros((4,) * n, dtype=complex)
     for label, coeff in zip(s.labels(), s.coeff):
         coeffs[tuple("IXYZ".index(c) for c in label)] = coeff
-    t = pauli._pauli_transform(coeffs, pauli._V).reshape((2,) * (2 * n))
+    t = tensordot_transform(coeffs, ORACLE_V).reshape((2,) * (2 * n))
     return t.transpose([2 * q for q in range(n)] + [2 * q + 1 for q in range(n)]).reshape(2**n, 2**n)
 
 
@@ -98,6 +121,42 @@ def test_listing_matches_loop(n):
 def test_listing_matches_loop_zero_and_table3():
     assert len(assert_listing_matches_loop(np.zeros((8, 8)))) == 0
     assert len(assert_listing_matches_loop(preset_hamiltonian("table3"))) == 17801
+
+
+MODEL_PRESETS = [name for name, cfg in presets.PRESETS.items() if "model" in cfg]
+
+
+def assert_bit_identical_to_oracle(h):
+    """decompose's index and coeff and reconstruct's matrix equal the tensordot oracle's."""
+    s = pauli.decompose(h)
+    coeffs = oracle_coeffs(h)
+    kept = np.flatnonzero(np.abs(coeffs) > 1e-12)
+    assert np.array_equal(s.index, kept)
+    assert np.array_equal(s.coeff, coeffs.real[kept])
+    assert np.array_equal(pauli.reconstruct(s), loop_reconstruct(s))
+    return s
+
+
+@pytest.mark.parametrize("preset", MODEL_PRESETS)
+def test_bit_identical_to_oracle_on_presets(preset):
+    assert_bit_identical_to_oracle(preset_hamiltonian(preset))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_bit_identical_to_oracle_random_real(n):
+    rng = np.random.default_rng(100 + n)
+    a = rng.normal(size=(2**n, 2**n))
+    s = assert_bit_identical_to_oracle(a + a.T)
+    assert not any(label.count("Y") % 2 for label in s.labels())
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_bit_identical_to_oracle_random_complex(n):
+    rng = np.random.default_rng(200 + n)
+    a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    s = assert_bit_identical_to_oracle(a + a.conj().T)
+    # odd-Y terms take reconstruct's complex path
+    assert any(label.count("Y") % 2 for label in s.labels())
 
 
 @pytest.mark.parametrize("preset", ["table1", "table3", "table4-256", "table5"])
