@@ -4,8 +4,11 @@ The exact route diagonalizes once and applies exp(-i w t) in the eigenbasis.
 The Trotter route exponentiates each part of a Hamiltonian splitting exactly
 (every part is Hermitian, so its propagator is a spectral exponential) and
 interleaves them: order 1 is the plain product, order 2 the symmetric Strang
-product. A profile over a list of times checks and diagonalises each part,
-and their sum, once, and reuses those eigenpairs for the Trotter and the
+product. It works in the eigenbasis of the first part, where that part's slice
+is a phase per entry, multiplies one slice into a single step matrix and
+applies it ``steps`` times. A matrix with no imaginary part is diagonalised in
+real arithmetic. A profile over a list of times checks and diagonalises each
+part, and their sum, once, and reuses those eigenpairs for the Trotter and the
 exact state at every time.
 """
 
@@ -51,6 +54,11 @@ def _phases(w: np.ndarray, t: float) -> np.ndarray:
     return phases
 
 
+def _eigh(h: np.ndarray):
+    """Eigenpairs of a Hermitian matrix, in real arithmetic when it has no imaginary part."""
+    return np.linalg.eigh(h if h.imag.any() else h.real)
+
+
 def _spectral_evolve(w: np.ndarray, u: np.ndarray, t: float, psi: np.ndarray) -> np.ndarray:
     return u @ (_phases(w, t) * (u.conj().T @ psi))
 
@@ -61,13 +69,8 @@ def exact_evolve(h: np.ndarray, t: float, psi: np.ndarray) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (h.shape[0],):
         raise ShapeError("state/operator dimension mismatch")
-    w, u = np.linalg.eigh(h)
+    w, u = _eigh(h)
     return _spectral_evolve(w, u, t, psi)
-
-
-def _propagator(spectrum, t: float) -> np.ndarray:
-    w, u = spectrum
-    return (u * _phases(w, t)) @ u.conj().T
 
 
 def _checked(parts, steps: int, order: int, psi: np.ndarray):
@@ -86,19 +89,45 @@ def _checked(parts, steps: int, order: int, psi: np.ndarray):
     return parts, psi
 
 
-def _trotter(spectra, t: float, steps: int, order: int, psi: np.ndarray) -> np.ndarray:
-    """The order-1 product or order-2 Strang product of the parts' slice propagators."""
+def _split(parts):
+    """Each part's eigenvalues, part 0's eigenvectors u_0, and u_0^dag u_i for each later part i.
+
+    In u_0's basis part 0 is diagonal and part i is (v_i * w_i) @ v_i^dag, with v_i the overlap.
+    """
+    spectra = [_eigh(p) for p in parts]
+    u0 = spectra[0][1]
+    return [w for w, _ in spectra], u0, [u0.conj().T @ u for _, u in spectra[1:]]
+
+
+def _trotter(split, t: float, steps: int, order: int, psi: np.ndarray) -> np.ndarray:
+    """The order-1 product or order-2 Strang product of ``steps`` slices, applied to ``psi``.
+
+    One slice is multiplied into a single step matrix in part 0's eigenbasis. Part 0
+    comes first, so the product starts as a vector of phases and stays one until
+    another part multiplies it; the closing half slice of part 0 in a Strang product
+    scales rows.
+    """
+    w, u0, v = split
     dt = t / steps
     if order == 1:
-        sequence = [_propagator(s, dt) for s in spectra]
+        factors = [(i, dt) for i in range(len(w))]
     else:
-        half = [_propagator(s, dt / 2.0) for s in spectra[:-1]]
-        sequence = half + [_propagator(spectra[-1], dt)] + half[::-1]
-    out = psi
+        half = [(i, dt / 2.0) for i in range(len(w) - 1)]
+        factors = half + [(len(w) - 1, dt)] + half[::-1]
+    (_, t0), *rest = factors
+    s = _phases(w[0], t0)
+    for i, ti in rest:
+        phases = _phases(w[i], ti)
+        if i == 0:
+            s = phases[:, None] * s
+        else:
+            vh = v[i - 1].conj().T
+            s = (v[i - 1] * phases) @ (vh * s if s.ndim == 1 else vh @ s)
+    apply = np.multiply if s.ndim == 1 else np.matmul
+    out = u0.conj().T @ psi
     for _ in range(steps):
-        for u in sequence:
-            out = u @ out
-    return out
+        out = apply(s, out)
+    return u0 @ out
 
 
 def trotter_evolve(parts, t: float, steps: int, order: int, psi: np.ndarray) -> EvolveResult:
@@ -109,7 +138,7 @@ def trotter_evolve(parts, t: float, steps: int, order: int, psi: np.ndarray) -> 
     evolution for any step count.
     """
     parts, psi = _checked(parts, steps, order, psi)
-    final = _trotter([np.linalg.eigh(p) for p in parts], t, steps, order, psi)
+    final = _trotter(_split(parts), t, steps, order, psi)
     return EvolveResult(final=final, t=t, steps=steps, order=order)
 
 
@@ -153,11 +182,11 @@ def _profiles(parts, grid, psi0, tau_list, steps, order) -> list[KernelProfile]:
     Each part and H = sum(parts) is diagonalised once; every tau reuses those eigenpairs.
     """
     parts, psi0 = _checked(parts, steps, order, psi0)
-    spectra = [np.linalg.eigh(p) for p in parts]
-    w, u = np.linalg.eigh(sum(parts))
+    split = _split(parts)
+    w, u = _eigh(sum(parts))
     profiles = []
     for tau in map(float, tau_list):
-        values = psi0.copy() if tau == 0.0 else _trotter(spectra, tau, steps, order, psi0)
+        values = psi0.copy() if tau == 0.0 else _trotter(split, tau, steps, order, psi0)
         profiles.append(KernelProfile(grid, tau, values, _spectral_evolve(w, u, tau, psi0)))
     return profiles
 

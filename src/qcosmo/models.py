@@ -391,11 +391,11 @@ def friedmann_evolve(
             h = 1e-6 * (1.0 + abs(phi))
             return (_v(phi + h) - _v(phi - h)) / (2.0 * h)
 
-    def radicand(a, phi, phidot):
-        return Lambda + 0.5 * phidot**2 + potential(phi) - 3.0 * k / a**2
+    def radicand(a, phidot, v):
+        return Lambda + 0.5 * phidot**2 + v - 3.0 * k / a**2
 
     def hubble(a, phi, phidot, initial_point=False):
-        rad = radicand(a, phi, phidot)
+        rad = radicand(a, phidot, float(potential(phi)))
         if rad < -1e-8 and initial_point:
             raise InconsistentInitialDataError(
                 f"energy constraint violated at t=0 (radicand {rad:.3e})"
@@ -408,9 +408,10 @@ def friedmann_evolve(
 
     def rhs(a, phi, phidot):
         h = hubble(a, phi, phidot)
-        return a * h, phidot, -3.0 * h * phidot - dpotential(phi)
+        return a * h, phidot, -3.0 * h * phidot - float(dpotential(phi))
 
-    # the step runs on plain floats: numpy arrays of three cost more than the arithmetic
+    # the step runs on plain floats (numpy scalars and arrays of three cost more than the
+    # arithmetic), so the potential's values are converted where they enter it
     n_steps = int(np.ceil((t1 - t0) / dt))
     ts = np.empty(n_steps + 1)
     traj = np.empty((n_steps + 1, 3))
@@ -430,7 +431,7 @@ def friedmann_evolve(
         ts[i], traj[i] = t, (a, phi, phidot)
 
     a, phi, phidot = traj[:, 0], traj[:, 1], traj[:, 2]
-    rad = radicand(a, phi, phidot)
+    rad = radicand(a, phidot, potential(phi))
     imaginary = rad[rad < -1e-8]  # the RK4 stages never saw the final row
     if imaginary.size:
         raise DomainError(f"expansion rate became imaginary (radicand {imaginary[0]:.3e})")

@@ -125,3 +125,32 @@ def test_apply_scalar_function_square_matches_product():
 def test_apply_scalar_function_rejects_non_hermitian():
     with pytest.raises(HermiticityError):
         bases.apply_scalar_function(np.array([[0, 1], [0, 0]], dtype=complex), np.exp)
+
+
+def _former_hermitian_verdict(op, tol=bases.HERMITICITY_TOL):
+    """The check on the full complex difference that require_hermitian replaced: its oracle."""
+    return np.max(np.abs(op - op.conj().T)) <= tol * max(1.0, np.max(np.abs(op)))
+
+
+@pytest.mark.parametrize("kind", ["real", "complex-zero-imag", "complex"])
+def test_require_hermitian_verdict_matches_former_check(kind):
+    """Matrices whose deviation sits just inside or outside the tolerance get the same verdict."""
+    rng = np.random.default_rng(["real", "complex-zero-imag", "complex"].index(kind))
+    verdicts = []
+    for dim in (2, 16, 256):
+        for factor in (0.5, 1.0 - 1e-6, 1.0 - 1e-12, 1.0 + 1e-12, 1.0 + 1e-6, 2.0):
+            a = rng.normal(size=(dim, dim)) * rng.uniform(0.1, 100.0)
+            if kind == "complex":
+                a = a + 1j * rng.normal(size=(dim, dim))
+            op = (a + a.conj().T) / 2
+            op = op.astype(complex) if kind == "complex-zero-imag" else op
+            step = factor * bases.HERMITICITY_TOL * max(1.0, np.max(np.abs(op)))
+            op[0, 1] += 1j * step if kind == "complex" else step
+            expected = _former_hermitian_verdict(op)
+            verdicts.append(expected)
+            if expected:
+                assert bases.require_hermitian(op) is op
+            else:
+                with pytest.raises(HermiticityError):
+                    bases.require_hermitian(op)
+    assert any(verdicts) and not all(verdicts)

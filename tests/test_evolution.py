@@ -225,18 +225,20 @@ def test_double_well_p_phi_is_a_global_phase():
         assert abs(dev_s - dev_b) <= 1e-12
 
 
-def _interval_case(taus, steps, order):
-    psi0 = np.zeros(32, dtype=complex)
-    psi0[16] = 1.0
-    parts = split_even_odd(free_interval_hamiltonian(5))
-    profs = interval_propagation_profile(5, taus, 16, steps=steps, order=order)
+def _interval_case(taus, steps, order, n_qubits=5):
+    dim = 2**n_qubits
+    psi0 = np.zeros(dim, dtype=complex)
+    psi0[dim // 2] = 1.0
+    parts = split_even_odd(free_interval_hamiltonian(n_qubits))
+    profs = interval_propagation_profile(n_qubits, taus, dim // 2, steps=steps, order=order)
     return parts, psi0, profs
 
 
-def _double_well_case(taus, steps, order):
-    psi0 = evolution.gaussian_on_grid(evolution.fd_grid(5), -1.58, 0.35)
-    parts = evolution.double_well_parts(DW_PARAMS, 5)
-    profs = evolution.double_well_eoh(DW_PARAMS, 5, taus, -1.58, 0.35, steps=steps, order=order)
+def _double_well_case(taus, steps, order, n_qubits=5):
+    psi0 = evolution.gaussian_on_grid(evolution.fd_grid(n_qubits), -1.58, 0.35)
+    parts = evolution.double_well_parts(DW_PARAMS, n_qubits)
+    profs = evolution.double_well_eoh(DW_PARAMS, n_qubits, taus, -1.58, 0.35, steps=steps,
+                                      order=order)
     return parts, psi0, profs
 
 
@@ -266,3 +268,74 @@ def test_profile_eigh_once_per_part(monkeypatch, case, taus):
     monkeypatch.setattr(np.linalg, "eigh", counting)
     parts, _, _ = case(taus, 8, 2)
     assert len(calls) == len(parts) + 1
+
+
+# ---------------------------------------------------------------------------
+# the former Trotter path, frozen as the oracle of the step-matrix path: a complex
+# eigh of every part, a dense propagator per part and slice, one matvec per factor
+
+def _oracle_propagator(spectrum, t):
+    w, u = spectrum
+    return (u * np.exp(-1j * w * t)) @ u.conj().T
+
+
+def _oracle_trotter(parts, t, steps, order, psi):
+    spectra = [np.linalg.eigh(np.asarray(p, dtype=complex)) for p in parts]
+    dt = t / steps
+    if order == 1:
+        sequence = [_oracle_propagator(s, dt) for s in spectra]
+    else:
+        half = [_oracle_propagator(s, dt / 2.0) for s in spectra[:-1]]
+        sequence = half + [_oracle_propagator(spectra[-1], dt)] + half[::-1]
+    out = np.asarray(psi, dtype=complex)
+    for _ in range(steps):
+        for u in sequence:
+            out = u @ out
+    return out
+
+
+def _oracle_exact(h, t, psi):
+    w, u = np.linalg.eigh(np.asarray(h, dtype=complex))
+    return u @ (np.exp(-1j * w * t) * (u.conj().T @ psi))
+
+
+def _random_symmetric(rng, dim):
+    a = rng.normal(size=(dim, dim))
+    return (a + a.T) / 2
+
+
+# "three-complex" has a complex middle part: a complex overlap, then a real part
+# applied to a step matrix that is no longer diagonal
+_ORACLE_SPLITS = {
+    "one": lambda rng, dim: [_random_symmetric(rng, dim)],
+    "two": lambda rng, dim: [_random_symmetric(rng, dim), _random_symmetric(rng, dim)],
+    "three": lambda rng, dim: [_random_symmetric(rng, dim) for _ in range(3)],
+    "three-complex": lambda rng, dim: [_random_symmetric(rng, dim), random_hermitian(rng, dim),
+                                       _random_symmetric(rng, dim)],
+}
+
+
+@pytest.mark.parametrize("n_qubits", range(1, 9))
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("split", list(_ORACLE_SPLITS))
+def test_trotter_and_exact_match_frozen_oracle(n_qubits, order, split):
+    rng = np.random.default_rng([n_qubits, order, list(_ORACLE_SPLITS).index(split)])
+    dim = 2**n_qubits
+    parts = _ORACLE_SPLITS[split](rng, dim)
+    psi = random_state(rng, dim)
+    res = trotter_evolve(parts, 0.7, 5, order, psi)
+    assert np.max(np.abs(res.final - _oracle_trotter(parts, 0.7, 5, order, psi))) <= 1e-12
+    h = sum(parts)
+    assert np.max(np.abs(exact_evolve(h, 0.7, psi) - _oracle_exact(h, 0.7, psi))) <= 1e-12
+
+
+@pytest.mark.parametrize("n_qubits", range(1, 9))
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("case", [_interval_case, _double_well_case])
+def test_profiles_match_frozen_oracle(n_qubits, order, case):
+    taus = [0.0, 0.05, 0.5, 2.0]
+    parts, psi0, profs = case(taus, 32, order, n_qubits)
+    for tau, prof in zip(taus, profs):
+        oracle = _oracle_trotter(parts, tau, 32, order, psi0) if tau else psi0
+        assert np.max(np.abs(prof.values - oracle)) <= 1e-12
+        assert np.max(np.abs(prof.exact - _oracle_exact(sum(parts), tau, psi0))) <= 1e-12

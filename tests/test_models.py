@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -320,6 +322,64 @@ def test_friedmann_residual_matches_per_row_oracle(name):
     assert traj.constraint_residual.shape == oracle.shape
     assert np.max(np.abs(traj.constraint_residual - oracle)) <= 1e-12
     assert traj.max_constraint_residual <= 1e-12
+
+
+def _friedmann_numpy_scalar_loop(potential, initial, t_span, dt, Lambda=0.0, k=0.0,
+                                  dpotential=None):
+    """The RK4 loop as it ran on the numpy scalars the potentials return: the oracle of
+    the plain-float loop, which must give the same trajectory bit for bit."""
+    a, phi, phidot = (float(x) for x in initial)
+    t, t1 = map(float, t_span)
+    if dpotential is None:
+        def dpotential(phi):
+            h = 1e-6 * (1.0 + abs(phi))
+            return (potential(phi + h) - potential(phi - h)) / (2.0 * h)
+
+    def rhs(a, phi, phidot):
+        rad = Lambda + 0.5 * phidot**2 + potential(phi) - 3.0 * k / a**2
+        h = math.sqrt(max(rad, 0.0) / 3.0)
+        return a * h, phidot, -3.0 * h * phidot - dpotential(phi)
+
+    rows = [(t, a, phi, phidot)]
+    for _ in range(int(np.ceil((t1 - t) / dt))):
+        step = min(dt, t1 - t)
+        hs, s6 = 0.5 * step, step / 6.0
+        k1 = rhs(a, phi, phidot)
+        k2 = rhs(a + hs * k1[0], phi + hs * k1[1], phidot + hs * k1[2])
+        k3 = rhs(a + hs * k2[0], phi + hs * k2[1], phidot + hs * k2[2])
+        k4 = rhs(a + step * k3[0], phi + step * k3[1], phidot + step * k3[2])
+        a = a + s6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+        phi = phi + s6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+        phidot = phidot + s6 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
+        t = t + step
+        rows.append((t, a, phi, phidot))
+    return np.array(rows).T
+
+
+def _numpy_starobinsky(params):
+    """The Starobinsky potential and its derivative on numpy scalars, frozen with the loop."""
+    def v(phi):
+        return params.M1_4 * (1.0 - np.exp(phi / params.M2)) ** 2
+
+    def dv(phi):
+        e = np.exp(phi / params.M2)
+        return -2.0 * params.M1_4 * (1.0 - e) * e / params.M2
+    return v, dv
+
+
+@pytest.mark.parametrize("with_derivative", [True, False])
+def test_friedmann_bit_identical_to_numpy_scalar_loop(with_derivative):
+    """Starobinsky with its derivative, and with the finite-difference fallback."""
+    run = dict(_FRIEDMANN_RUNS["starobinsky"])
+    potential, dpotential = _numpy_starobinsky(_STARO)
+    frozen = {**run, "potential": potential, "dpotential": dpotential}
+    if not with_derivative:
+        del run["dpotential"], frozen["dpotential"]
+        run["t_span"] = frozen["t_span"] = (0.0, 100.0)
+    traj = models.friedmann_evolve(**run)
+    oracle = _friedmann_numpy_scalar_loop(**frozen)
+    for got, want in zip((traj.t, traj.a, traj.phi, traj.phi_dot), oracle):
+        assert np.array_equal(got, want)
 
 
 def test_friedmann_checks_final_row():
