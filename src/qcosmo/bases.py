@@ -12,6 +12,9 @@ constructions are supported:
 Scalar potentials are applied with ``apply_scalar_function`` (spectral
 calculus). The two-mode models in :mod:`qcosmo.models` take Kronecker
 products of these single-mode operators.
+
+``require_hermitian`` checks an operator and decides real arithmetic: it returns
+a complex matrix with no imaginary part as its real part, which callers use.
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ from .errors import (
 )
 
 HERMITICITY_TOL = 1e-12
+MAX_QUBITS = 8
+"""Most qubits of a dense operator, and of a config in total: a 256 x 256 matrix."""
 
 
 class BasisKind(enum.Enum):
@@ -37,16 +42,18 @@ class BasisKind(enum.Enum):
     FINITE_DIFFERENCE = "fd"
 
 
-def require_hermitian(op: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Return ``op`` unchanged, raising if it is not Hermitian within ``tol``."""
+def require_hermitian(op: np.ndarray) -> np.ndarray:
+    """``op`` in double precision, real if its imaginary part is zero; raises if not Hermitian."""
     op = np.asarray(op)
     if op.ndim != 2 or op.shape[0] != op.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {op.shape}")
+    op = op.astype(np.result_type(op, np.float64), copy=False)  # at least double precision
     # a complex matrix with no imaginary part gives the same deviation and scale from its real part
-    a = op.real if np.iscomplexobj(op) and not op.imag.any() else op
-    dev = np.max(np.abs(a - a.conj().T))
-    scale = max(1.0, np.max(np.abs(a)))
-    if dev > tol * scale:
+    if np.iscomplexobj(op) and not op.imag.any():
+        op = op.real
+    dev = np.max(np.abs(op - op.conj().T))
+    scale = max(1.0, np.max(np.abs(op)))
+    if dev > HERMITICITY_TOL * scale:
         raise HermiticityError(f"matrix deviates from Hermitian by {dev:.3e}")
     return op
 
@@ -131,7 +138,9 @@ def apply_scalar_function(op: np.ndarray, f) -> np.ndarray:
     Exact for diagonal input (the diagonal is mapped directly, no
     diagonalization round-trip).
     """
-    op = require_hermitian(np.asarray(op, dtype=complex))
+    op = np.asarray(op, dtype=complex)
+    # kept complex: a real eigh rounds differently and would change the models' bits
+    require_hermitian(op)
     if np.count_nonzero(op - np.diag(np.diagonal(op))) == 0:
         vals = np.asarray(f(np.real(np.diagonal(op))), dtype=complex)
         return np.diag(vals)

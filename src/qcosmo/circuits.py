@@ -235,7 +235,7 @@ def apply_circuit(circuit: Circuit, params, init: np.ndarray | None = None) -> n
 
 def expectation_dense(h: np.ndarray, psi: np.ndarray) -> float:
     """Rayleigh quotient <psi|H|psi> for a dense Hermitian H."""
-    h = require_hermitian(np.asarray(h, dtype=complex))
+    h = require_hermitian(h)
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (h.shape[0],):
         raise ShapeError("state/operator dimension mismatch")

@@ -1,15 +1,17 @@
-"""Evolution of Hamiltonian: exact spectral propagators and Trotter splitting.
+"""Evolution of Hamiltonian: Trotter splitting, with exact evolution as its one-part case.
 
-The exact route diagonalizes once and applies exp(-i w t) in the eigenbasis.
 The Trotter route exponentiates each part of a Hamiltonian splitting exactly
 (every part is Hermitian, so its propagator is a spectral exponential) and
 interleaves them: order 1 is the plain product, order 2 the symmetric Strang
 product. It works in the eigenbasis of the first part, where that part's slice
 is a phase per entry, multiplies one slice into a single step matrix and
-applies it ``steps`` times. A matrix with no imaginary part is diagonalised in
-real arithmetic. A profile over a list of times checks and diagonalises each
-part, and their sum, once, and reuses those eigenpairs for the Trotter and the
-exact state at every time.
+applies it ``steps`` times. The exact state is the product of one part, H
+itself, over one step: exp(-i w t) applied in H's eigenbasis. Each part is
+checked by ``bases.require_hermitian``, which returns a matrix with no
+imaginary part as real, so such a part is diagonalised in real arithmetic. A
+profile over a list of times checks and diagonalises each part, and their sum,
+once, and reuses those eigenpairs for the Trotter and the exact state at every
+time.
 """
 
 from __future__ import annotations
@@ -54,28 +56,16 @@ def _phases(w: np.ndarray, t: float) -> np.ndarray:
     return phases
 
 
-def _eigh(h: np.ndarray):
-    """Eigenpairs of a Hermitian matrix, in real arithmetic when it has no imaginary part."""
-    return np.linalg.eigh(h if h.imag.any() else h.real)
-
-
-def _spectral_evolve(w: np.ndarray, u: np.ndarray, t: float, psi: np.ndarray) -> np.ndarray:
-    return u @ (_phases(w, t) * (u.conj().T @ psi))
-
-
 def exact_evolve(h: np.ndarray, t: float, psi: np.ndarray) -> np.ndarray:
-    """exp(-iHt) |psi> through the spectral decomposition of H."""
-    h = require_hermitian(np.asarray(h, dtype=complex))
-    psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (h.shape[0],):
-        raise ShapeError("state/operator dimension mismatch")
-    w, u = _eigh(h)
-    return _spectral_evolve(w, u, t, psi)
+    """exp(-iHt) |psi>: the one-part, one-step Trotter product, exact for a single part."""
+    # not trotter_evolve: a wrapper that counts its Trotter steps must not count this call
+    parts, psi = _checked([h], 1, 1, psi)
+    return _trotter(_split(parts), t, 1, 1, psi)
 
 
 def _checked(parts, steps: int, order: int, psi: np.ndarray):
-    """The parts and the state as complex arrays, checked for Hermiticity and shape."""
-    parts = [require_hermitian(np.asarray(p, dtype=complex)) for p in parts]
+    """The parts as ``require_hermitian`` returns them, the state as complex; shapes checked."""
+    parts = [require_hermitian(p) for p in parts]
     if not parts:
         raise ShapeError("need at least one part")
     if steps < 1:
@@ -94,7 +84,7 @@ def _split(parts):
 
     In u_0's basis part 0 is diagonal and part i is (v_i * w_i) @ v_i^dag, with v_i the overlap.
     """
-    spectra = [_eigh(p) for p in parts]
+    spectra = [np.linalg.eigh(p) for p in parts]
     u0 = spectra[0][1]
     return [w for w, _ in spectra], u0, [u0.conj().T @ u for _, u in spectra[1:]]
 
@@ -158,7 +148,7 @@ def split_even_odd(h: np.ndarray) -> list[np.ndarray]:
     and their commutator is nonzero, which makes the splitting error of the
     Trotter product measurable.
     """
-    h = require_hermitian(np.asarray(h, dtype=complex))
+    h = require_hermitian(h)
     even = np.diag(np.diagonal(h)) / 2.0
     odd = even.copy()
     for part, first in ((even, 0), (odd, 1)):
@@ -182,12 +172,11 @@ def _profiles(parts, grid, psi0, tau_list, steps, order) -> list[KernelProfile]:
     Each part and H = sum(parts) is diagonalised once; every tau reuses those eigenpairs.
     """
     parts, psi0 = _checked(parts, steps, order, psi0)
-    split = _split(parts)
-    w, u = _eigh(sum(parts))
+    split, exact = _split(parts), _split([sum(parts)])
     profiles = []
     for tau in map(float, tau_list):
         values = psi0.copy() if tau == 0.0 else _trotter(split, tau, steps, order, psi0)
-        profiles.append(KernelProfile(grid, tau, values, _spectral_evolve(w, u, tau, psi0)))
+        profiles.append(KernelProfile(grid, tau, values, _trotter(exact, tau, 1, 1, psi0)))
     return profiles
 
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .bases import (
+    MAX_QUBITS,
     BasisKind,
     apply_scalar_function,
     build_momentum,
@@ -441,9 +442,6 @@ def friedmann_evolve(
 
 # ---------------------------------------------------------------------------
 # JSON config schema: each block maps its keys to (default, type, allowed)
-
-MAX_QUBITS = 8
-"""Most qubits a config may request in total: a dense 256 x 256 matrix."""
 
 QUBIT_COUNTS = range(1, MAX_QUBITS + 1)
 

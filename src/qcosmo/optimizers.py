@@ -100,14 +100,15 @@ def _run(core, f, x0, budget, tol):
     return tracker.result(converged)
 
 
-def nelder_mead(f, x0, budget=600, tol=1e-9, step=0.5):
+def nelder_mead(f, x0, budget, tol):
     """Classic simplex search (reflect / expand / contract / shrink).
 
-    The initial simplex and each shrink are evaluated as one stack.
+    The initial simplex has edges of 0.5 along each coordinate; it and each
+    shrink are evaluated as one stack.
     """
 
     def core(fe, x0):
-        simplex = np.vstack([x0, x0 + step * np.eye(len(x0))])
+        simplex = np.vstack([x0, x0 + 0.5 * np.eye(len(x0))])
         values = fe(simplex)
         while True:
             order = np.argsort(values)
@@ -136,19 +137,19 @@ def nelder_mead(f, x0, budget=600, tol=1e-9, step=0.5):
     return _run(core, f, x0, budget, tol)
 
 
-def gradient_descent(f, x0, budget=600, tol=1e-9, step0=0.5):
+def gradient_descent(f, x0, budget, tol):
     """Forward-difference gradient descent with backtracking line search.
 
     Difference step per coordinate is 1e-6 * (1 + |theta_i|); the probes of
-    one gradient are evaluated as one stack. The line-search step grows by
-    1.5x after an immediately accepted step and halves while the Armijo
-    condition fails.
+    one gradient are evaluated as one stack. The line-search step starts at
+    0.5, grows by 1.5x after an immediately accepted step and halves while
+    the Armijo condition fails.
     """
 
     def core(fe, x0):
         x = np.array(x0, dtype=float)
         fx = fe.one(x)
-        alpha = step0
+        alpha = 0.5
         diagonal = np.diag_indices(len(x))
         while True:
             h = 1e-6 * (1.0 + np.abs(x))

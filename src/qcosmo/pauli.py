@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bases import MAX_QUBITS, require_hermitian
 from .errors import HermiticityError, ShapeError
-from .bases import require_hermitian
-from .models import MAX_QUBITS
 
 PAULI_MATRICES = {
     "I": np.eye(2, dtype=complex),
@@ -174,9 +173,7 @@ def decompose(h: np.ndarray, zero_tol: float = 1e-12) -> PauliSum:
     """Expand a Hermitian matrix in the Pauli basis, dropping tiny terms."""
     h = np.asarray(h)
     n = _n_qubits_of(h.shape[0])
-    require_hermitian(h)
-    if not (np.iscomplexobj(h) and h.imag.any()):
-        h = h.real  # a real H transforms in real arithmetic
+    h = require_hermitian(h)  # real when it has no imaginary part: then the transform is real
     # interleave (row_q, col_q) pairs so each qubit's pair is one base-4 digit
     order = [ax for q in range(n) for ax in (q, n + q)]
     t = h.reshape((2,) * (2 * n)).transpose(order).reshape(-1)

@@ -74,18 +74,18 @@ def _derivatives(v, x0: float, h: float):
     return d2, d3
 
 
-def expand_about_minimum(v, guess: float, step: float = 1e-3) -> CubicExpansion:
+def expand_about_minimum(v, guess: float) -> CubicExpansion:
     """Locate the minimum near ``guess`` and fit the cubic expansion.
 
     The minimum is refined by golden-section search to 1e-10; derivatives
-    use 5-point central differences at ``step``, cross-checked against the
+    use 5-point central differences at step 1e-3, cross-checked against the
     half-step estimate (Richardson consistency).
     """
     a, b, c = _bracket_minimum(v, guess)
     phi_min = _golden_section(v, a, c)
-    d2, d3 = _derivatives(v, phi_min, step)
+    d2, d3 = _derivatives(v, phi_min, 1e-3)
     # half-step estimate is noisier (cubic cancellation) but must agree
-    d2_half, _ = _derivatives(v, phi_min, step / 2.0)
+    d2_half, _ = _derivatives(v, phi_min, 5e-4)
     if abs(d2 - d2_half) > 1e-4 * max(1.0, abs(d2)):
         raise DomainError(
             f"second derivative did not stabilize ({d2} vs {d2_half}); "

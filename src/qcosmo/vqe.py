@@ -48,9 +48,8 @@ _MINIMIZERS = {
 
 
 def exact_ground(h: np.ndarray) -> float:
-    """Smallest eigenvalue of a Hermitian H, in real arithmetic when H is real."""
-    h = require_hermitian(np.asarray(h, dtype=complex))
-    return float(np.linalg.eigvalsh(h if h.imag.any() else h.real)[0])
+    """Smallest eigenvalue of a Hermitian H, in real arithmetic when H has no imaginary part."""
+    return float(np.linalg.eigvalsh(require_hermitian(h))[0])
 
 
 def run_vqe(hamiltonian, ansatz: AnsatzSpec, opt: OptimizerConfig) -> VqeResult:
@@ -68,7 +67,9 @@ def run_vqe(hamiltonian, ansatz: AnsatzSpec, opt: OptimizerConfig) -> VqeResult:
     circuit = efficient_su2_ansatz(ansatz)
     if isinstance(hamiltonian, pauli.PauliSum):
         hamiltonian = pauli.reconstruct(hamiltonian)
-    h = require_hermitian(np.asarray(hamiltonian, dtype=complex))
+    h = np.asarray(hamiltonian, dtype=complex)
+    # kept complex: a real H times a complex state makes numpy cast H again on every row
+    require_hermitian(h)
     if h.shape[0] != 2**ansatz.n_qubits:
         raise ShapeError("hamiltonian and ansatz dimensions differ")
 

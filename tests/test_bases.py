@@ -149,8 +149,26 @@ def test_require_hermitian_verdict_matches_former_check(kind):
             expected = _former_hermitian_verdict(op)
             verdicts.append(expected)
             if expected:
-                assert bases.require_hermitian(op) is op
+                out = bases.require_hermitian(op)
+                if kind == "complex-zero-imag":
+                    # the real part, a view of op's memory
+                    assert out.dtype == np.float64 and np.shares_memory(out, op)
+                    assert np.array_equal(out, op.real)
+                else:
+                    assert out is op
             else:
                 with pytest.raises(HermiticityError):
                     bases.require_hermitian(op)
     assert any(verdicts) and not all(verdicts)
+
+
+@pytest.mark.parametrize("op, expected", [
+    (np.array([[2, 1], [1, 3]]), np.float64),
+    (np.array([[2, 1], [1, 3]], dtype=np.float32), np.float64),
+    (np.array([[2, 1], [1, 3]], dtype=np.complex64), np.float64),
+    (np.array([[0, -1j], [1j, 0]], dtype=np.complex64), np.complex128),
+])
+def test_require_hermitian_widens_to_double_precision(op, expected):
+    """Narrower input is widened, so what callers diagonalise keeps double precision."""
+    out = bases.require_hermitian(op)
+    assert out.dtype == expected and np.array_equal(out, op)

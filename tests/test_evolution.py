@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from qcosmo import evolution, models
+from qcosmo import evolution, models, pauli, vqe
 from qcosmo.errors import DomainError
 from qcosmo.evolution import (
     exact_evolve,
@@ -339,3 +339,50 @@ def test_profiles_match_frozen_oracle(n_qubits, order, case):
         oracle = _oracle_trotter(parts, tau, 32, order, psi0) if tau else psi0
         assert np.max(np.abs(prof.values - oracle)) <= 1e-12
         assert np.max(np.abs(prof.exact - _oracle_exact(sum(parts), tau, psi0))) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the former exact route, frozen: one eigh of H, in real arithmetic when H has no
+# imaginary part, and exp(-i w t) applied between u^dag and u
+
+def _oracle_spectral_evolve(h, t, psi):
+    h = np.asarray(h, dtype=complex)
+    w, u = np.linalg.eigh(h if h.imag.any() else h.real)
+    return u @ (np.exp(-1j * w * t) * (u.conj().T @ psi))
+
+
+@pytest.mark.parametrize("n_qubits", range(1, 9))
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_exact_evolve_matches_former_spectral_route_bit_for_bit(n_qubits, kind):
+    rng = np.random.default_rng([n_qubits, kind == "complex"])
+    dim = 2**n_qubits
+    h = random_hermitian(rng, dim) if kind == "complex" else _random_symmetric(rng, dim)
+    psi = random_state(rng, dim)
+    for t in (0.0, 0.7, -3.1):
+        assert np.array_equal(exact_evolve(h, t, psi), _oracle_spectral_evolve(h, t, psi))
+
+
+@pytest.mark.parametrize("n_qubits", [1, 3, 6])
+def test_dtype_twins_give_identical_bits(n_qubits):
+    """A real H as float64 and as complex128 with a zero imaginary part: the same bits everywhere."""
+    rng = np.random.default_rng(n_qubits)
+    dim = 2**n_qubits
+    h = _random_symmetric(rng, dim)
+    twin = h.astype(complex)
+    psi = random_state(rng, dim)
+    assert vqe.exact_ground(h) == vqe.exact_ground(twin)
+    s, s_twin = pauli.decompose(h), pauli.decompose(twin)
+    assert np.array_equal(s.index, s_twin.index) and np.array_equal(s.coeff, s_twin.coeff)
+    assert np.array_equal(exact_evolve(h, 0.7, psi), exact_evolve(twin, 0.7, psi))
+    parts = [h, _random_symmetric(rng, dim)]
+    twins = [p.astype(complex) for p in parts]
+    for order in (1, 2):
+        assert np.array_equal(trotter_evolve(parts, 0.7, 5, order, psi).final,
+                              trotter_evolve(twins, 0.7, 5, order, psi).final)
+    taus = [0.0, 0.05, 0.5]
+    for case in (_interval_case, _double_well_case):
+        parts, psi0, _ = case(taus, 8, 2, n_qubits)
+        real = evolution._profiles([np.real(p) for p in parts], None, psi0, taus, 8, 2)
+        cplx = evolution._profiles([p.astype(complex) for p in parts], None, psi0, taus, 8, 2)
+        for a, b in zip(real, cplx):
+            assert np.array_equal(a.values, b.values) and np.array_equal(a.exact, b.exact)

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -369,3 +373,12 @@ def test_qubit_limit_checked_at_construction():
 def test_duplicate_labels_rejected():
     with pytest.raises(ShapeError):
         pauli.PauliSum.from_labels(1, ["Z", "Z"], [1.0, 0.5])
+
+
+def test_import_loads_only_bases_and_errors():
+    code = ("import sys, qcosmo.pauli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'qcosmo'))")
+    env = {**os.environ, "PYTHONPATH": str(Path(pauli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    assert proc.stdout.strip() == str(["qcosmo", "qcosmo.bases", "qcosmo.errors", "qcosmo.pauli"])
