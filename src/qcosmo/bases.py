@@ -45,8 +45,8 @@ class BasisKind(enum.Enum):
 def require_hermitian(op: np.ndarray) -> np.ndarray:
     """``op`` in double precision, real if its imaginary part is zero; raises if not Hermitian."""
     op = np.asarray(op)
-    if op.ndim != 2 or op.shape[0] != op.shape[1]:
-        raise ShapeError(f"expected a square matrix, got shape {op.shape}")
+    if op.ndim != 2 or op.shape[0] != op.shape[1] or not op.size:
+        raise ShapeError(f"expected a non-empty square matrix, got shape {op.shape}")
     op = op.astype(np.result_type(op, np.float64), copy=False)  # at least double precision
     # a complex matrix with no imaginary part gives the same deviation and scale from its real part
     if np.iscomplexobj(op) and not op.imag.any():
@@ -56,6 +56,18 @@ def require_hermitian(op: np.ndarray) -> np.ndarray:
     if dev > HERMITICITY_TOL * scale:
         raise HermiticityError(f"matrix deviates from Hermitian by {dev:.3e}")
     return op
+
+
+def energies(h: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """<psi|H|psi> of each row of an ``(m, dim)`` stack, H as ``require_hermitian`` returns it.
+
+    One product: for a real H, over the rows' parts stacked, as <a|H|a> + <b|H|b> for a + ib.
+    """
+    if np.iscomplexobj(h):
+        return np.vecdot(states, states @ h.T).real  # vecdot conjugates its first argument
+    parts = np.concatenate([states.real, states.imag])
+    e = np.vecdot(parts, parts @ h.T)
+    return e[:len(states)] + e[len(states):]
 
 
 def require_finite(op: np.ndarray) -> np.ndarray:

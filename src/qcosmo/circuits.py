@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ShapeError
-from .bases import require_hermitian
+from .bases import energies, require_hermitian
 
 
 class Gate(NamedTuple):
@@ -234,9 +234,9 @@ def apply_circuit(circuit: Circuit, params, init: np.ndarray | None = None) -> n
 
 
 def expectation_dense(h: np.ndarray, psi: np.ndarray) -> float:
-    """Rayleigh quotient <psi|H|psi> for a dense Hermitian H."""
+    """<psi|H|psi> for a dense Hermitian H: ``bases.energies`` on a stack of one, checked."""
     h = require_hermitian(h)
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (h.shape[0],):
         raise ShapeError("state/operator dimension mismatch")
-    return float(np.vdot(psi, h @ psi).real)
+    return float(energies(h, psi[None])[0])

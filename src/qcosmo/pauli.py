@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import MAX_QUBITS, require_hermitian
+from .bases import MAX_QUBITS, energies, require_hermitian
 from .errors import HermiticityError, ShapeError
 
 PAULI_MATRICES = {
@@ -201,11 +201,11 @@ def reconstruct(s: PauliSum) -> np.ndarray:
 
 
 def expectation(s: PauliSum, psi: np.ndarray) -> float:
-    """<psi| sum_t c_t P_t |psi>, as one dense product with the reconstructed matrix."""
+    """<psi| sum_t c_t P_t |psi>: ``bases.energies`` on the reconstructed matrix."""
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (2**s.n_qubits,):
         raise ShapeError(f"state length {psi.shape} does not match {s.n_qubits} qubits")
     norm = np.linalg.norm(psi)
     if abs(norm - 1.0) > 1e-10:
         raise ShapeError(f"state norm {norm} is not 1")
-    return float(np.vdot(psi, reconstruct(s) @ psi).real)
+    return float(energies(reconstruct(s), psi[None])[0])

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import optimizers, pauli
-from .bases import require_hermitian
+from .bases import energies, require_hermitian
 from .circuits import AnsatzSpec, apply_circuit, efficient_su2_ansatz
 from .errors import ShapeError
 
@@ -61,15 +61,14 @@ def run_vqe(hamiltonian, ansatz: AnsatzSpec, opt: OptimizerConfig) -> VqeResult:
     so a fixed (seed, optimizer, budget) triple reproduces the run exactly.
     The returned trace holds the best-so-far energy at each evaluation. The
     optimizer hands the energy a stack of parameter vectors, whose circuits
-    run as one sweep; every point of a stack gets the stack's end time in
-    ``eval_times``.
+    run as one sweep and whose energies come from one ``bases.energies``
+    call; every point of a stack gets the stack's end time in ``eval_times``.
     """
     circuit = efficient_su2_ansatz(ansatz)
     if isinstance(hamiltonian, pauli.PauliSum):
         hamiltonian = pauli.reconstruct(hamiltonian)
-    h = np.asarray(hamiltonian, dtype=complex)
-    # kept complex: a real H times a complex state makes numpy cast H again on every row
-    require_hermitian(h)
+    # contiguous: numpy would copy the real view of a complex H again on every product
+    h = np.ascontiguousarray(require_hermitian(hamiltonian))
     if h.shape[0] != 2**ansatz.n_qubits:
         raise ShapeError("hamiltonian and ansatz dimensions differ")
 
@@ -82,7 +81,7 @@ def run_vqe(hamiltonian, ansatz: AnsatzSpec, opt: OptimizerConfig) -> VqeResult:
     eval_times: list[float] = []
 
     def energy(thetas):
-        values = [float(np.vdot(psi, h @ psi).real) for psi in apply_circuit(circuit, thetas)]
+        values = energies(h, apply_circuit(circuit, thetas)).tolist()
         eval_times.extend([time.perf_counter() - start] * len(values))
         return values
 

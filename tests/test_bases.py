@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from qcosmo import bases
+from qcosmo import bases, circuits, evolution, vqe
 from qcosmo.bases import BasisKind
 from qcosmo.errors import (
     HermiticityError,
     InvalidTruncationError,
+    ShapeError,
     UnsupportedBasisError,
 )
 
@@ -172,3 +173,37 @@ def test_require_hermitian_widens_to_double_precision(op, expected):
     """Narrower input is widened, so what callers diagonalise keeps double precision."""
     out = bases.require_hermitian(op)
     assert out.dtype == expected and np.array_equal(out, op)
+
+
+@pytest.mark.parametrize("call", [
+    vqe.exact_ground,
+    lambda h: evolution.exact_evolve(h, 1.0, np.zeros(0)),
+    lambda h: circuits.expectation_dense(h, np.zeros(0)),
+], ids=["exact_ground", "exact_evolve", "expectation_dense"])
+def test_empty_matrix_is_a_shape_error(call):
+    with pytest.raises(ShapeError, match="non-empty square matrix"):
+        call(np.zeros((0, 0)))
+
+
+def _per_row_energy(h, psi):
+    """The per-row formula that bases.energies replaced: its oracle."""
+    return np.vdot(psi, h @ psi).real
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_energies_match_per_row_formula(n, kind):
+    """One product per stack gives each row's <psi|H|psi> to rounding, real and complex H alike."""
+    rng = np.random.default_rng([n, kind == "complex"])
+    dim = 2**n
+    a = rng.normal(size=(dim, dim)) + (1j * rng.normal(size=(dim, dim)) if kind == "complex" else 0)
+    # a complex H with no imaginary part comes back as its real part, a float64 view
+    h = bases.require_hermitian(((a + a.conj().T) / 2).astype(complex))
+    assert h.dtype == (np.complex128 if kind == "complex" else np.float64)
+    for m in (1, 7, 96):
+        states = rng.normal(size=(m, dim)) + 1j * rng.normal(size=(m, dim))
+        states /= np.linalg.norm(states, axis=1, keepdims=True)
+        ref = np.array([_per_row_energy(h, psi) for psi in states])
+        got = bases.energies(h, states)
+        assert got.shape == (m,) and got.dtype == np.float64
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
