@@ -1,6 +1,7 @@
 """Truncated position/momentum operators in three discrete bases.
 
-All operators are dense complex Hermitian matrices in Planck units. Three
+All operators are dense Hermitian matrices in Planck units, real (float64)
+unless their physics is complex: only the oscillator P is imaginary. Three
 constructions are supported:
 
 * oscillator: ladder-matrix truncation, X and P both sparse tridiagonal;
@@ -14,7 +15,9 @@ calculus). The two-mode models in :mod:`qcosmo.models` take Kronecker
 products of these single-mode operators.
 
 ``require_hermitian`` checks an operator and decides real arithmetic: it returns
-a complex matrix with no imaginary part as its real part, which callers use.
+a complex matrix with no imaginary part as its real part, which callers use. So
+the oscillator P^2 is real (two imaginary factors), while the position-basis P^2
+keeps the rounding-level imaginary part of its Fourier product and stays complex.
 """
 
 from __future__ import annotations
@@ -90,7 +93,7 @@ def _check_truncation(n: int) -> None:
 def ladder(n: int) -> np.ndarray:
     """Truncated annihilation operator: sqrt(k) on the superdiagonal."""
     _check_truncation(n)
-    return np.diag(np.sqrt(np.arange(1, n)), 1).astype(complex)
+    return np.diag(np.sqrt(np.arange(1, n)), 1)
 
 
 def build_position(basis: BasisKind, n: int) -> np.ndarray:
@@ -106,9 +109,9 @@ def build_position(basis: BasisKind, n: int) -> np.ndarray:
         return (a + a.conj().T) / np.sqrt(2.0)
     j = np.arange(1, n + 1)
     if basis is BasisKind.POSITION:
-        return np.diag(np.sqrt(2.0 * np.pi / (4.0 * n)) * (2 * j - (n + 1))).astype(complex)
+        return np.diag(np.sqrt(2.0 * np.pi / (4.0 * n)) * (2 * j - (n + 1)))
     if basis is BasisKind.FINITE_DIFFERENCE:
-        return np.diag(np.sqrt(1.0 / (2.0 * n)) * (2 * j - (n + 1))).astype(complex)
+        return np.diag(np.sqrt(1.0 / (2.0 * n)) * (2 * j - (n + 1)))
     raise UnsupportedBasisError(f"unknown basis {basis!r}")
 
 
@@ -139,9 +142,9 @@ def build_momentum_squared(basis: BasisKind, n: int) -> np.ndarray:
     _check_truncation(n)
     if basis is BasisKind.FINITE_DIFFERENCE:
         body = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
-        return (n / 2.0) * body.astype(complex)
+        return (n / 2.0) * body
     p = build_momentum(basis, n)
-    return hermitize(p @ p)
+    return require_hermitian(hermitize(p @ p))
 
 
 def apply_scalar_function(op: np.ndarray, f) -> np.ndarray:
@@ -150,11 +153,8 @@ def apply_scalar_function(op: np.ndarray, f) -> np.ndarray:
     Exact for diagonal input (the diagonal is mapped directly, no
     diagonalization round-trip).
     """
-    op = np.asarray(op, dtype=complex)
-    # kept complex: a real eigh rounds differently and would change the models' bits
-    require_hermitian(op)
+    op = require_hermitian(op)  # real eigh for a real operator
     if np.count_nonzero(op - np.diag(np.diagonal(op))) == 0:
-        vals = np.asarray(f(np.real(np.diagonal(op))), dtype=complex)
-        return np.diag(vals)
+        return np.diag(f(np.real(np.diagonal(op))))
     w, u = np.linalg.eigh(op)
     return hermitize((u * f(w)) @ u.conj().T)

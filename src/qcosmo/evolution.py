@@ -159,7 +159,7 @@ def split_even_odd(h: np.ndarray) -> list[np.ndarray]:
 
 
 def fd_grid(n_qubits: int) -> np.ndarray:
-    return np.real(np.diagonal(build_position(BasisKind.FINITE_DIFFERENCE, 2**n_qubits)))
+    return np.diagonal(build_position(BasisKind.FINITE_DIFFERENCE, 2**n_qubits))
 
 
 PROFILE_STEPS, PROFILE_ORDER = 64, 2
@@ -224,7 +224,7 @@ def double_well_parts(params: MinisuperspaceParams, n_qubits: int) -> list[np.nd
     v = params.volume(MinisuperspaceKind.NEG_LAMBDA_MORSE)
     pot = 2.0 * v**2 * params.k_curv * grid**2 - 2.0 * v**2 * params.Lambda * grid**4
     pot = pot - params.p_phi**2
-    return [free_interval_hamiltonian(n_qubits), np.diag(pot.astype(complex))]
+    return [free_interval_hamiltonian(n_qubits), np.diag(pot)]
 
 
 def double_well_eoh(

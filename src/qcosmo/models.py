@@ -235,7 +235,7 @@ def _two_mode_hamiltonian(h_x: np.ndarray, h_y: np.ndarray, couplings) -> np.nda
     ``couplings`` may be a generator. Each array is dropped before the next one
     is built, so the peak stays near three full-size matrices.
     """
-    eye = np.eye(h_x.shape[0], dtype=complex)
+    eye = np.eye(h_x.shape[0], dtype=np.result_type(h_x, h_y))
     h = np.kron(h_x, eye) + np.kron(eye, h_y)
     del eye
     for coupling in couplings:

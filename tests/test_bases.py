@@ -9,6 +9,7 @@ from qcosmo.errors import (
     ShapeError,
     UnsupportedBasisError,
 )
+from test_models import former_apply_scalar_function
 
 ALL_BASES = [BasisKind.OSCILLATOR, BasisKind.POSITION, BasisKind.FINITE_DIFFERENCE]
 
@@ -126,6 +127,45 @@ def test_apply_scalar_function_square_matches_product():
 def test_apply_scalar_function_rejects_non_hermitian():
     with pytest.raises(HermiticityError):
         bases.apply_scalar_function(np.array([[0, 1], [0, 0]], dtype=complex), np.exp)
+
+
+def _symmetric(rng, dim, imag):
+    a = rng.normal(size=(dim, dim)) + (1j * rng.normal(size=(dim, dim)) if imag else 0)
+    return (a + a.conj().T) / (2.0 * np.sqrt(dim))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("f", [np.exp, lambda t: t**2], ids=["exp", "square"])
+def test_apply_scalar_function_real_operator_stays_real(n, f):
+    """A real symmetric operator gets a real eigh: float64 out, equal to the complex oracle."""
+    op = _symmetric(np.random.default_rng(n), 2**n, imag=False)
+    out = bases.apply_scalar_function(op, f)
+    oracle = former_apply_scalar_function(op, f)
+    assert out.dtype == np.float64
+    assert np.max(np.abs(out - oracle)) <= 1e-13 * max(1.0, np.max(np.abs(oracle)))
+
+
+@pytest.mark.parametrize("n", [1, 4, 8])
+def test_apply_scalar_function_complex_operator_keeps_former_bits(n):
+    op = _symmetric(np.random.default_rng([n, 1]), 2**n, imag=True)
+    out = bases.apply_scalar_function(op, np.exp)
+    assert out.dtype == np.complex128
+    assert np.array_equal(out, former_apply_scalar_function(op, np.exp))
+
+
+def test_apply_scalar_function_diagonal_keeps_the_dtype_of_f():
+    """The diagonal path casts nothing: a complex f of a real diagonal stays complex."""
+    d = np.array([0.5, -1.0, 2.0])
+    out = bases.apply_scalar_function(np.diag(d), lambda t: np.exp(-1j * t))
+    assert np.array_equal(out, np.diag(np.exp(-1j * d)))
+    assert bases.apply_scalar_function(np.diag(d), np.exp).dtype == np.float64
+
+
+def test_apply_scalar_function_rejects_real_non_symmetric():
+    op = _symmetric(np.random.default_rng(0), 8, imag=False)
+    op[0, 1] += 1e-3
+    with pytest.raises(HermiticityError):
+        bases.apply_scalar_function(op, np.exp)
 
 
 def _former_hermitian_verdict(op, tol=bases.HERMITICITY_TOL):

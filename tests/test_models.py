@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qcosmo import models, pauli, vqe
+from qcosmo import bases, models, pauli, presets, vqe
 from qcosmo.bases import BasisKind
 from qcosmo.errors import ConfigError, DomainError, InconsistentInitialDataError
 from qcosmo.models import (
@@ -460,3 +460,88 @@ def test_qubit_limit_refused_before_any_matrix(monkeypatch):
     over = models.MAX_QUBITS // 2 + 1
     with pytest.raises(ConfigError, match=f"limit of {models.MAX_QUBITS}"):
         models.build_model({"model": "dark_matter_1", "qubits": [over, over]})
+
+
+# ---------------------------------------------------------------------------
+# real assembly against the former complex one
+
+def former_ladder(n):
+    return np.diag(np.sqrt(np.arange(1, n)), 1).astype(complex)
+
+
+def former_position(basis, n):
+    if basis is BasisKind.OSCILLATOR:
+        a = former_ladder(n)
+        return (a + a.conj().T) / np.sqrt(2.0)
+    j = np.arange(1, n + 1)
+    if basis is BasisKind.POSITION:
+        return np.diag(np.sqrt(2.0 * np.pi / (4.0 * n)) * (2 * j - (n + 1))).astype(complex)
+    return np.diag(np.sqrt(1.0 / (2.0 * n)) * (2 * j - (n + 1))).astype(complex)
+
+
+def former_momentum(basis, n):
+    if basis is BasisKind.OSCILLATOR:
+        a = former_ladder(n)
+        return 1j * (a.conj().T - a) / np.sqrt(2.0)
+    f = bases.fourier_matrix(n)
+    return bases.hermitize(f.conj().T @ former_position(BasisKind.POSITION, n) @ f)
+
+
+def former_momentum_squared(basis, n):
+    if basis is BasisKind.FINITE_DIFFERENCE:
+        body = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+        return (n / 2.0) * body.astype(complex)
+    p = former_momentum(basis, n)
+    return bases.hermitize(p @ p)
+
+
+def former_apply_scalar_function(op, f):
+    """Spectral calculus in complex arithmetic, whatever the operator."""
+    op = np.asarray(op, dtype=complex)
+    bases.require_hermitian(op)
+    if np.count_nonzero(op - np.diag(np.diagonal(op))) == 0:
+        return np.diag(np.asarray(f(np.real(np.diagonal(op))), dtype=complex))
+    w, u = np.linalg.eigh(op)
+    return bases.hermitize((u * f(w)) @ u.conj().T)
+
+
+def _preset_models():
+    """(preset, basis, config) for every model preset under every basis the model allows."""
+    cases = []
+    for name, preset in presets.PRESETS.items():
+        if "model" not in preset:
+            continue
+        for basis in BasisKind:
+            config = {key: preset[key] for key in ("model", "params", "qubits")}
+            config["basis"] = basis.value
+            try:
+                models.check_model(config)
+            except ConfigError:
+                continue
+            cases.append(pytest.param(name, basis, config, id=f"{name}-{basis.value}"))
+    return cases
+
+
+@pytest.mark.parametrize("name, basis, config", _preset_models())
+def test_real_assembly_matches_former_complex_assembly(monkeypatch, name, basis, config):
+    """Each operator is real unless its physics is complex; H keeps its bits, ground and count.
+
+    Only the single-radius dark-energy presets differ at all: their potential goes through
+    a real eigh of the oscillator X instead of a complex one.
+    """
+    h = models.build_model(config)[0]
+    for attr, former in [("build_position", former_position), ("build_momentum", former_momentum),
+                         ("build_momentum_squared", former_momentum_squared),
+                         ("apply_scalar_function", former_apply_scalar_function)]:
+        monkeypatch.setattr(models, attr, former)
+    oracle = models.build_model(config)[0]
+    assert oracle.dtype == np.complex128
+    complex_physics = config["model"] == "dark_matter_2" or basis is BasisKind.POSITION
+    assert h.dtype == (np.complex128 if complex_physics else np.float64)
+    if config["model"] == "dark_energy_1r":
+        assert np.max(np.abs(h - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+    else:
+        assert np.array_equal(h, oracle)
+    e, e_oracle = vqe.exact_ground(h), vqe.exact_ground(oracle)
+    assert abs(e - e_oracle) <= 1e-12 * max(1.0, abs(e_oracle))
+    assert len(pauli.decompose(h)) == len(pauli.decompose(oracle))
