@@ -8,7 +8,11 @@ is a phase per entry, multiplies one slice into a single step matrix and
 applies it ``steps`` times. The exact state is the product of one part, H
 itself, over one step: exp(-i w t) applied in H's eigenbasis. Each part is
 checked by ``bases.require_hermitian``, which returns a matrix with no
-imaginary part as real, so such a part is diagonalised in real arithmetic. A
+imaginary part as real, so such a part is diagonalised in real arithmetic.
+Each eigensolve runs at the size the part's structure allows: a diagonal part
+takes none, a centrosymmetric part of even dimension (one that commutes with
+the grid reversal J, as every part of both EOH kinds does) takes two of half
+size, one per reflection sector, and any other part one full ``eigh``. A
 profile over a list of times checks and diagonalises each part, and their sum,
 once, and reuses those eigenpairs for the Trotter and the exact state at every
 time.
@@ -79,14 +83,40 @@ def _checked(parts, steps: int, order: int, psi: np.ndarray):
     return parts, psi
 
 
+def _is_diagonal(p: np.ndarray) -> bool:
+    return np.count_nonzero(p) == np.count_nonzero(np.diagonal(p))
+
+
+def _eigh(p: np.ndarray):
+    """Eigenvalues, in no set order, and orthonormal eigenvectors of a Hermitian part.
+
+    A diagonal part needs no eigensolve: its eigenvectors are I. A centrosymmetric part of
+    even dimension 2m (p = JpJ, J the reversal) splits into the m x m blocks A +- BJ, with
+    A = p[:m, :m] and B = p[:m, m:]; the eigenvectors u of A + BJ give (u; Ju)/sqrt(2), those
+    of A - BJ give (u; -Ju)/sqrt(2). Any other part takes one full ``eigh``.
+    """
+    if _is_diagonal(p):
+        return np.diagonal(p).real, np.eye(p.shape[0])
+    m, odd = divmod(p.shape[0], 2)
+    if odd or not np.array_equal(p, p[::-1, ::-1]):
+        return np.linalg.eigh(p)
+    a, bj = p[:m, :m], p[:m, m:][:, ::-1]
+    (w_even, u_even), (w_odd, u_odd) = np.linalg.eigh(a + bj), np.linalg.eigh(a - bj)
+    u = np.block([[u_even, u_odd], [u_even[::-1], -u_odd[::-1]]]) / np.sqrt(2.0)
+    return np.concatenate([w_even, w_odd]), u
+
+
 def _split(parts):
     """Each part's eigenvalues, part 0's eigenvectors u_0, and u_0^dag u_i for each later part i.
 
     In u_0's basis part 0 is diagonal and part i is (v_i * w_i) @ v_i^dag, with v_i the overlap.
+    A diagonal part i has eigenvectors I, so its overlap is u_0^dag with no product.
     """
-    spectra = [np.linalg.eigh(p) for p in parts]
+    spectra = [_eigh(p) for p in parts]
     u0 = spectra[0][1]
-    return [w for w, _ in spectra], u0, [u0.conj().T @ u for _, u in spectra[1:]]
+    u0h = u0.conj().T
+    overlaps = [u0h if _is_diagonal(p) else u0h @ u for p, (_, u) in zip(parts[1:], spectra[1:])]
+    return [w for w, _ in spectra], u0, overlaps
 
 
 def _trotter(split, t: float, steps: int, order: int, psi: np.ndarray) -> np.ndarray:
@@ -95,7 +125,8 @@ def _trotter(split, t: float, steps: int, order: int, psi: np.ndarray) -> np.nda
     One slice is multiplied into a single step matrix in part 0's eigenbasis. Part 0
     comes first, so the product starts as a vector of phases and stays one until
     another part multiplies it; the closing half slice of part 0 in a Strang product
-    scales rows.
+    scales rows. Part i's factor v_i diag(phases) v_i^dag takes two real products,
+    written into its real and imaginary parts, when its overlap v_i is real.
     """
     w, u0, v = split
     dt = t / steps
@@ -110,9 +141,15 @@ def _trotter(split, t: float, steps: int, order: int, psi: np.ndarray) -> np.nda
         phases = _phases(w[i], ti)
         if i == 0:
             s = phases[:, None] * s
+            continue
+        vi = v[i - 1]
+        if np.iscomplexobj(vi):
+            factor = (vi * phases) @ vi.conj().T
         else:
-            vh = v[i - 1].conj().T
-            s = (v[i - 1] * phases) @ (vh * s if s.ndim == 1 else vh @ s)
+            factor = np.empty(vi.shape, complex)
+            np.matmul(vi * phases.real, vi.T, out=factor.real)
+            np.matmul(vi * phases.imag, vi.T, out=factor.imag)
+        s = np.multiply(factor, s, out=factor) if s.ndim == 1 else factor @ s
     apply = np.multiply if s.ndim == 1 else np.matmul
     out = u0.conj().T @ psi
     for _ in range(steps):
@@ -222,7 +259,8 @@ def double_well_parts(params: MinisuperspaceParams, n_qubits: int) -> list[np.nd
     """
     grid = fd_grid(n_qubits)
     v = params.volume(MinisuperspaceKind.NEG_LAMBDA_MORSE)
-    pot = 2.0 * v**2 * params.k_curv * grid**2 - 2.0 * v**2 * params.Lambda * grid**4
+    g2 = grid * grid  # not grid**4: numpy's power is not even in y to the last bit
+    pot = 2.0 * v**2 * params.k_curv * g2 - 2.0 * v**2 * params.Lambda * (g2 * g2)
     pot = pot - params.p_phi**2
     return [free_interval_hamiltonian(n_qubits), np.diag(pot)]
 

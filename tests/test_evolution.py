@@ -255,19 +255,36 @@ def test_profile_matches_trotter_and_exact_evolve(case, order):
         assert np.array_equal(prof.exact, exact_evolve(sum(parts), tau, psi0))
 
 
-@pytest.mark.parametrize("case", [_interval_case, _double_well_case])
-@pytest.mark.parametrize("taus", [[0.3], [0.0, 0.05, 0.3, 1.0]])
-def test_profile_eigh_once_per_part(monkeypatch, case, taus):
-    calls = []
-    eigh = np.linalg.eigh
+def _counting_eigh(monkeypatch):
+    """Patch np.linalg.eigh to record the shape of each call; return the record."""
+    calls, eigh = [], np.linalg.eigh
 
     def counting(a, *args, **kwargs):
         calls.append(a.shape)
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
-    parts, _, _ = case(taus, 8, 2)
-    assert len(calls) == len(parts) + 1
+    return calls
+
+
+@pytest.mark.parametrize("case", [_interval_case, _double_well_case])
+@pytest.mark.parametrize("taus", [[0.3], [0.0, 0.05, 0.3, 1.0]])
+def test_profile_eigh_once_per_part(monkeypatch, case, taus):
+    """Every part of both EOH kinds is centrosymmetric, two half-size eighs each (the interval's
+    even part, odd part and H; the double well's kinetic part and H), or diagonal, none (the
+    double well's potential); the count does not grow with the number of taus."""
+    calls = _counting_eigh(monkeypatch)
+    case(taus, 8, 2)
+    assert calls == [(16, 16)] * (6 if case is _interval_case else 4)
+
+
+@pytest.mark.parametrize("n_qubits", range(1, 9))
+def test_double_well_is_reflection_symmetric_to_the_bit(n_qubits):
+    parts = evolution.double_well_parts(DW_PARAMS, n_qubits)
+    pot = np.diagonal(parts[1])
+    assert np.array_equal(pot, pot[::-1])
+    h = sum(parts)
+    assert np.array_equal(h, h[::-1, ::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -305,13 +322,17 @@ def _random_symmetric(rng, dim):
 
 
 # "three-complex" has a complex middle part: a complex overlap, then a real part
-# applied to a step matrix that is no longer diagonal
+# applied to a step matrix that is no longer diagonal; "diagonal-first" takes no eigh for
+# part 0, "centrosymmetric" half-size eighs for both parts, the second one complex
 _ORACLE_SPLITS = {
     "one": lambda rng, dim: [_random_symmetric(rng, dim)],
     "two": lambda rng, dim: [_random_symmetric(rng, dim), _random_symmetric(rng, dim)],
     "three": lambda rng, dim: [_random_symmetric(rng, dim) for _ in range(3)],
     "three-complex": lambda rng, dim: [_random_symmetric(rng, dim), random_hermitian(rng, dim),
                                        _random_symmetric(rng, dim)],
+    "diagonal-first": lambda rng, dim: [np.diag(rng.normal(size=dim)), _random_symmetric(rng, dim)],
+    "centrosymmetric": lambda rng, dim: [_centrosymmetric(rng, dim, "real"),
+                                         _centrosymmetric(rng, dim, "complex")],
 }
 
 
@@ -339,6 +360,51 @@ def test_profiles_match_frozen_oracle(n_qubits, order, case):
         oracle = _oracle_trotter(parts, tau, 32, order, psi0) if tau else psi0
         assert np.max(np.abs(prof.values - oracle)) <= 1e-12
         assert np.max(np.abs(prof.exact - _oracle_exact(sum(parts), tau, psi0))) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# _eigh's diagonal and centrosymmetric cases against np.linalg.eigh
+
+def _centrosymmetric(rng, dim, kind):
+    a = random_hermitian(rng, dim) if kind == "complex" else _random_symmetric(rng, dim)
+    return (a + a[::-1, ::-1]) / 2
+
+
+def _one_ulp_off(rng, dim, kind):
+    p = _centrosymmetric(rng, dim, kind)
+    p[0, 0] = np.nextafter(p[0, 0].real, np.inf)
+    return p
+
+
+def _repeated_diagonal(rng, dim, kind):
+    return np.diag(rng.choice([-1.5, 0.0, 2.0], size=dim)).astype(complex if kind == "complex" else float)
+
+
+# each case with the shapes of the eigh calls it takes
+_EIGH_CASES = {
+    "centrosymmetric": (_centrosymmetric, [2, 6, 16, 64, 130, 256],
+                        lambda dim: [(dim // 2, dim // 2)] * 2),
+    "diagonal": (_repeated_diagonal, [1, 2, 7, 64, 256], lambda dim: []),
+    "odd": (_centrosymmetric, [3, 5, 63, 255], lambda dim: [(dim, dim)]),
+    "one-ulp-off": (_one_ulp_off, [2, 6, 64, 256], lambda dim: [(dim, dim)]),
+}
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])  # a complex diagonal has no imaginary part
+@pytest.mark.parametrize("case", list(_EIGH_CASES))
+def test_eigh_matches_numpy(monkeypatch, case, kind):
+    build, dims, expected_calls = _EIGH_CASES[case]
+    calls = _counting_eigh(monkeypatch)
+    for dim in dims:
+        rng = np.random.default_rng([dim, kind == "complex", list(_EIGH_CASES).index(case)])
+        p = build(rng, dim, kind)
+        calls.clear()
+        w, u = evolution._eigh(p)
+        assert calls == expected_calls(dim)
+        scale = np.max(np.abs(p))
+        assert np.max(np.abs((u * w) @ u.conj().T - p)) <= 1e-12 * scale
+        assert np.max(np.abs(u.conj().T @ u - np.eye(dim))) <= 1e-12
+        assert np.max(np.abs(np.sort(w) - np.linalg.eigvalsh(p))) <= 1e-12 * scale
 
 
 # ---------------------------------------------------------------------------
