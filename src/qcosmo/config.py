@@ -15,6 +15,10 @@ from .vqe import OptimizerConfig, OptimizerKind
 
 _AT_LEAST_ONE = range(1, sys.maxsize)
 
+MAX_TAUS = 1024
+"""Most ``eoh.tau_list`` times a config may request: at 8 qubits each one
+costs about 0.1 MB of profiles and CSV lines held in memory."""
+
 _VQE_SCHEMA = {
     "reps": (AnsatzSpec.reps, int, _AT_LEAST_ONE),
     "rotations": (list(AnsatzSpec.rotations), [str], ROTATIONS),
@@ -64,6 +68,9 @@ def check_run(config: dict) -> dict:
                               f"on {n} qubits, over the limit of {models.MAX_PARAMS}")
     eoh, tun = run["eoh"], run["tunneling"]
     if eoh is not None:
+        if len(eoh["tau_list"]) > MAX_TAUS:
+            raise ConfigError(f"config.eoh.tau_list has {len(eoh['tau_list'])} times, "
+                              f"over the limit of {MAX_TAUS}")
         grid = range(2 ** eoh["n_qubits"])
         x0 = len(grid) // 2 if eoh["x0_index"] is None else eoh["x0_index"]
         eoh["x0_index"] = models.check_value(x0, int, grid, "config.eoh.x0_index")

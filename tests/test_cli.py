@@ -49,9 +49,13 @@ def test_pauli_terms_cover_every_model_preset():
     assert sorted(PAULI_TERMS) == sorted(n for n, cfg in presets.PRESETS.items() if "model" in cfg)
 
 
-@pytest.mark.parametrize("preset, terms", PAULI_TERMS.items())
+@pytest.mark.parametrize("preset, terms", [
+    *PAULI_TERMS.items(),
+    # the position-basis P² keeps its rounding-level imaginary part: a complex H
+    pytest.param("table1 --basis position", 42, id="table1-position-42"),
+])
 def test_exact_writes_pauli_terms(tmp_path, capsys, preset, terms):
-    assert run(["exact", "--preset", preset, "--out", str(tmp_path)]) == 0
+    assert run(["exact", "--preset", *preset.split(), "--out", str(tmp_path)]) == 0
     assert read_json(tmp_path / "exact.json")["pauli_terms"] == terms
 
 
@@ -76,11 +80,20 @@ def test_parser_namespaces(argv, expected):
     assert vars(cli.build_parser().parse_args(argv)) == expected
 
 
-def test_malformed_config_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("content", [
+    pytest.param(b"{not json", id="not-json"),
+    pytest.param(b"\xff\xfe{}", id="invalid-utf8"),
+    pytest.param(b'{"seed": ' + b"9" * 5000 + b"}", id="5000-digit-int"),
+    pytest.param(b"[" * 200_000, id="deep-nesting"),
+])
+def test_malformed_config_exits_2(tmp_path, capsys, content):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    assert run(["exact", "--config", str(bad), "--out", str(tmp_path)]) == 2
-    assert "config error" in capsys.readouterr().err
+    bad.write_bytes(content)
+    out = tmp_path / "out"
+    assert run(["exact", "--config", str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read config {bad}: ")
+    assert len(err.splitlines()) == 1 and not out.exists()
 
 
 def test_unknown_keys_rejected(tmp_path, capsys):
@@ -129,24 +142,52 @@ def test_vqe_trace_monotone(tmp_path):
     assert payload["vqe"] >= payload["exact"] - 1e-9
 
 
-def test_deterministic_outputs(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(
-        json.dumps(
-            {
-                "model": "starobinsky",
-                "qubits": [2],
-                "vqe": {"reps": 1, "budget": 60, "seed": 5},
-            }
-        )
-    )
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert run(["vqe", "--config", str(cfg), "--out", str(out1)]) == 0
-    assert run(["vqe", "--config", str(cfg), "--out", str(out2)]) == 0
-    assert (out1 / "vqe.json").read_bytes() == (out2 / "vqe.json").read_bytes()
-    # trace CSV identical apart from the wall-clock column
-    strip = lambda p: [",".join(r.split(",")[:2]) for r in (p / "vqe_trace.csv").read_text().splitlines()]
-    assert strip(out1) == strip(out2)
+# Each case runs once through cli.main and once as a child process; both write
+# the same files. A config dict is written to a file and passed as --config.
+REPEAT_RUNS = {
+    "vqe-2q": (["vqe"], {"model": "starobinsky", "qubits": [2],
+                         "vqe": {"reps": 1, "budget": 60, "seed": 5}}),
+    # the Trotter step matrix of each EOH kind
+    "eoh-fig13": (["eoh", "--preset", "fig13"], None),
+    "eoh-fig16": (["eoh", "--preset", "fig16"], None),
+    # every 256-point part is diagonal or splits into two 128-point sectors
+    "eoh-double-well-8q": (["eoh"], {"eoh": {"kind": "double-well", "n_qubits": 8}}),
+    # a real model H: apply_scalar_function's real eigh
+    "exact-table2-6q": (["exact", "--preset", "table2-6q"], None),
+    # stacked circuit sweeps at 8 qubits
+    "vqe-table4-256": (["vqe", "--preset", "table4-256", "--budget", "200", "--seed", "7"], None),
+    # five qubits: the rotation step's Kronecker factors split 2 + 3
+    "vqe-table2-5q": (["vqe", "--preset", "table2-5q", "--budget", "200", "--seed", "7"], None),
+    # a complex H: bases.energies' complex branch
+    "vqe-table5": (["vqe", "--preset", "table5", "--budget", "200", "--seed", "7"], None),
+}
+
+
+@pytest.mark.parametrize("argv, config", REPEAT_RUNS.values(), ids=REPEAT_RUNS)
+def test_repeat_runs_write_identical_files(tmp_path, capsys, argv, config):
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(cfg)]
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run([*argv, "--out", str(a)]) == 0
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "qcosmo.cli", *argv, "--out", str(b)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    names = sorted(p.name for p in a.iterdir())
+    assert names and names == sorted(p.name for p in b.iterdir())
+    for name in names:
+        if name == "vqe_trace.csv":
+            # identical apart from the wall-clock elapsed_ms column
+            strip = lambda d: [r.rsplit(",", 1)[0] for r in (d / name).read_text().splitlines()]
+            assert strip(a) == strip(b)
+            # a header and one row per evaluation: the budget is spent
+            assert len(strip(a)) == read_json(a / "vqe.json")["budget"] + 1
+        else:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    if "eoh.json" in names:
+        assert all(abs(n - 1.0) <= 1e-9 for n in read_json(a / "eoh.json")["norm"])
 
 
 def test_eoh_fig13(tmp_path):
@@ -174,12 +215,6 @@ def test_eoh_deviation_shrinks_with_steps(tmp_path):
         payload = read_json(out / "eoh.json")
         devs[steps] = max(payload["deviation_vs_exact"])
     assert devs[64] < devs[32] < devs[16]
-
-
-def test_eoh_double_well_preset(tmp_path):
-    assert run(["eoh", "--preset", "fig16", "--out", str(tmp_path)]) == 0
-    payload = read_json(tmp_path / "eoh.json")
-    assert all(n == pytest.approx(1.0, abs=1e-9) for n in payload["norm"])
 
 
 def test_eoh_flat_gaussian(tmp_path):
@@ -265,6 +300,23 @@ def test_params_over_limit_names_reps_before_building(tmp_path, capsys, monkeypa
     assert run(["vqe", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: config.vqe.reps 128 gives 2064") and len(err.splitlines()) == 1
+
+
+def test_tau_list_over_limit_names_key_before_building(tmp_path, capsys, monkeypatch):
+    taus = [0.0] * 1024
+    assert len(config.check_run({"eoh": {"tau_list": taus}})["eoh"]["tau_list"]) == 1024
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the config check should refuse the tau list first")
+
+    monkeypatch.setattr(evolution, "interval_propagation_profile", unreachable)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"eoh": {"tau_list": taus + [0.0]}}))
+    out = tmp_path / "out"
+    assert run(["eoh", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config.eoh.tau_list has 1025 times")
+    assert len(err.splitlines()) == 1 and not out.exists()
 
 
 def test_env_var_out_dir(tmp_path, monkeypatch):
