@@ -73,6 +73,11 @@ def energies(h: np.ndarray, states: np.ndarray) -> np.ndarray:
     return e[:len(states)] + e[len(states):]
 
 
+def is_diagonal(op: np.ndarray) -> bool:
+    """Whether every off-diagonal entry is zero (-0.0 too), by two counts that allocate nothing."""
+    return np.count_nonzero(op) == np.count_nonzero(np.diagonal(op))
+
+
 def require_finite(op: np.ndarray) -> np.ndarray:
     """Return ``op`` unchanged, raising if any entry is NaN or infinite."""
     if not np.isfinite(op).all():
@@ -154,7 +159,7 @@ def apply_scalar_function(op: np.ndarray, f) -> np.ndarray:
     diagonalization round-trip).
     """
     op = require_hermitian(op)  # real eigh for a real operator
-    if np.count_nonzero(op - np.diag(np.diagonal(op))) == 0:
+    if is_diagonal(op):
         return np.diag(f(np.real(np.diagonal(op))))
     w, u = np.linalg.eigh(op)
     return hermitize((u * f(w)) @ u.conj().T)

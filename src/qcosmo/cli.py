@@ -8,10 +8,10 @@ eoh        fifth-time propagation -> profile CSV + summary JSON
 reproduce  side-by-side comparison against the recorded reference tables
 
 Exit codes: 0 success (an unconverged VQE is still a success), 1 numerical
-failure, 2 usage or configuration error. Output files embed the resolved
-configuration and a schema version; identical config and seed give
-byte-identical JSON (the trace CSV's elapsed_ms column is wall-clock and
-exempt).
+failure, 2 usage or configuration error. Each JSON file embeds a schema
+version and resolved config keys (README lists which ones each holds);
+identical config and seed give byte-identical files (the trace CSV's
+elapsed_ms column is wall-clock and exempt).
 """
 
 from __future__ import annotations
@@ -82,6 +82,13 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
+def _write_csv(path: Path, header: str, rows) -> None:
+    """Write ``header``, then each row of values as ``rows`` yields it; the text is never held."""
+    with path.open("w") as f:
+        f.write(header + "\n")
+        f.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
+
+
 def _model_config(run: dict) -> dict:
     return {k: run[k] for k in models.MODEL_SCHEMA}
 
@@ -119,11 +126,9 @@ def cmd_vqe(args) -> int:
     result = vqe.run_vqe(h, spec, opt)
     summary = _exact_summary(h)
 
-    trace_path = out_dir / "vqe_trace.csv"
-    lines = ["eval,energy,elapsed_ms"]
-    for (i, energy), elapsed in zip(result.trace, result.eval_times):
-        lines.append(f"{i},{energy:.17g},{elapsed * 1e3:.17g}")
-    trace_path.write_text("\n".join(lines) + "\n")
+    _write_csv(out_dir / "vqe_trace.csv", "eval,energy,elapsed_ms",
+               ((i, energy, elapsed * 1e3)
+                for (i, energy), elapsed in zip(result.trace, result.eval_times)))
 
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -164,25 +169,17 @@ def cmd_eoh(args) -> int:
             params, n, tau_list, eoh["center"], eoh["width"], steps=steps, order=order
         )
 
-    lines = ["tau,x_index,x_value,re_K,im_K,abs2_K"]
-    for prof in profiles:
-        for i, (x, val) in enumerate(zip(prof.grid, prof.values)):
-            lines.append(
-                f"{prof.tau:.17g},{i},{x:.17g},{val.real:.17g},{val.imag:.17g},"
-                f"{abs(val) ** 2:.17g}"
-            )
-    (out_dir / "eoh_profile.csv").write_text("\n".join(lines) + "\n")
+    _write_csv(out_dir / "eoh_profile.csv", "tau,x_index,x_value,re_K,im_K,abs2_K",
+               ((prof.tau, i, x, val.real, val.imag, abs(val) ** 2)
+                for prof in profiles for i, (x, val) in enumerate(zip(prof.grid, prof.values))))
 
-    deviations = [
-        float(np.max(np.abs(np.abs(prof.exact) ** 2 - prof.squared))) for prof in profiles
-    ]
-    norms = [float(np.sum(prof.squared)) for prof in profiles]
     payload = {
         "schema_version": SCHEMA_VERSION,
         "config": {"eoh": eoh},
         "tau": tau_list,
-        "norm": norms,
-        "deviation_vs_exact": deviations,
+        "norm": [float(np.sum(prof.squared)) for prof in profiles],
+        "deviation_vs_exact": [float(np.max(np.abs(np.abs(prof.exact) ** 2 - prof.squared)))
+                               for prof in profiles],
     }
     _write_json(out_dir / "eoh.json", payload)
     print(f"eoh profiles for tau={tau_list} -> {out_dir / 'eoh_profile.csv'}")

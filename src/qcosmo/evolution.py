@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import BasisKind, build_momentum_squared, build_position, require_hermitian
+from .bases import BasisKind, build_momentum_squared, build_position, is_diagonal, require_hermitian
 from .errors import DomainError, ShapeError
 from .models import MinisuperspaceKind, MinisuperspaceParams
 
@@ -83,10 +83,6 @@ def _checked(parts, steps: int, order: int, psi: np.ndarray):
     return parts, psi
 
 
-def _is_diagonal(p: np.ndarray) -> bool:
-    return np.count_nonzero(p) == np.count_nonzero(np.diagonal(p))
-
-
 def _eigh(p: np.ndarray):
     """Eigenvalues, in no set order, and orthonormal eigenvectors of a Hermitian part.
 
@@ -95,7 +91,7 @@ def _eigh(p: np.ndarray):
     A = p[:m, :m] and B = p[:m, m:]; the eigenvectors u of A + BJ give (u; Ju)/sqrt(2), those
     of A - BJ give (u; -Ju)/sqrt(2). Any other part takes one full ``eigh``.
     """
-    if _is_diagonal(p):
+    if is_diagonal(p):
         return np.diagonal(p).real, np.eye(p.shape[0])
     m, odd = divmod(p.shape[0], 2)
     if odd or not np.array_equal(p, p[::-1, ::-1]):
@@ -115,7 +111,7 @@ def _split(parts):
     spectra = [_eigh(p) for p in parts]
     u0 = spectra[0][1]
     u0h = u0.conj().T
-    overlaps = [u0h if _is_diagonal(p) else u0h @ u for p, (_, u) in zip(parts[1:], spectra[1:])]
+    overlaps = [u0h if is_diagonal(p) else u0h @ u for p, (_, u) in zip(parts[1:], spectra[1:])]
     return [w for w, _ in spectra], u0, overlaps
 
 

@@ -19,6 +19,8 @@ import numpy as np
 from .bases import MAX_QUBITS, energies, require_hermitian
 from .errors import HermiticityError, ShapeError
 
+ZERO_TOL = 1e-12
+
 PAULI_MATRICES = {
     "I": np.eye(2, dtype=complex),
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -169,8 +171,8 @@ def _labels(indices: np.ndarray, n: int) -> list[str]:
     return codes.view(f"U{n}").reshape(-1).tolist()
 
 
-def decompose(h: np.ndarray, zero_tol: float = 1e-12) -> PauliSum:
-    """Expand a Hermitian matrix in the Pauli basis, dropping tiny terms."""
+def decompose(h: np.ndarray) -> PauliSum:
+    """Expand a Hermitian matrix in the Pauli basis, dropping |c| <= ``ZERO_TOL`` (absolute)."""
     h = np.asarray(h)
     n = _n_qubits_of(h.shape[0])
     h = require_hermitian(h)  # real when it has no imaginary part: then the transform is real
@@ -181,7 +183,7 @@ def decompose(h: np.ndarray, zero_tol: float = 1e-12) -> PauliSum:
     max_imag = np.max(np.abs(coeffs.imag))
     if max_imag > 1e-10 * max(1.0, np.max(np.abs(coeffs))):
         raise HermiticityError(f"complex Pauli coefficient ({max_imag:.3e}) from Hermitian input")
-    kept = np.flatnonzero(np.abs(coeffs) > zero_tol)
+    kept = np.flatnonzero(np.abs(coeffs) > ZERO_TOL)
     return PauliSum(n, kept, coeffs.real[kept])
 
 

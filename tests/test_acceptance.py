@@ -33,7 +33,7 @@ def test_criterion_1_starobinsky():
     t0 = time.perf_counter()
     h = models.starobinsky_hamiltonian(models.StarobinskyParams(), 4)
     ground = vqe.exact_ground(h)
-    n_terms = len(pauli.decompose(h, zero_tol=1e-12))
+    n_terms = len(pauli.decompose(h))
     elapsed = time.perf_counter() - t0
     ok = abs(ground - 0.49785652) <= 1e-6 and n_terms == 135 and elapsed < 1.0
     report(
@@ -83,7 +83,7 @@ def test_criterion_3_pauli_counts():
     counts = {}
     for qpm, expected in ((2, 25), (3, 361), (4, 3025)):
         h = models.dark_matter_model_one(models.DarkMatterParams(), qpm)
-        counts[qpm] = len(pauli.decompose(h, zero_tol=1e-12))
+        counts[qpm] = len(pauli.decompose(h))
     elapsed = time.perf_counter() - t0
     ok = counts == {2: 25, 3: 361, 4: 3025} and elapsed < 30.0
     report(
@@ -154,8 +154,8 @@ def test_criterion_4_provisional_eight_qubit_models():
 
     h2r = models.dark_energy_two_radius(models.DarkEnergyTwoRadiusParams(), 4)
     h5 = models.dark_matter_model_two(models.DarkMatterParams(), 4)
-    count_2r = len(pauli.decompose(h2r, zero_tol=1e-12))
-    count_m2 = len(pauli.decompose(h5, zero_tol=1e-12))
+    count_2r = len(pauli.decompose(h2r))
+    count_m2 = len(pauli.decompose(h5))
 
     details = []
     ok = True
@@ -328,7 +328,7 @@ def test_criterion_9_property_suite():
     # Pauli Parseval + round-trip on a random Hermitian matrix
     a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
     h = (a + a.conj().T) / 2
-    s = pauli.decompose(h, zero_tol=0.0)
+    s = pauli.decompose(h)
     parseval = abs(np.sum(s.coeff**2) * 16 - np.linalg.norm(h, "fro") ** 2)
     parseval_ok = parseval <= 1e-8 * np.linalg.norm(h, "fro") ** 2
     roundtrip_ok = np.max(np.abs(pauli.reconstruct(s) - h)) <= 1e-10

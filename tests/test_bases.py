@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,29 @@ def test_apply_scalar_function_diagonal_keeps_the_dtype_of_f():
     out = bases.apply_scalar_function(np.diag(d), lambda t: np.exp(-1j * t))
     assert np.array_equal(out, np.diag(np.exp(-1j * d)))
     assert bases.apply_scalar_function(np.diag(d), np.exp).dtype == np.float64
+
+
+@pytest.mark.parametrize("op, diagonal", [
+    (np.diag([1.0, -0.0]), True),
+    (np.array([[1.0, -0.0], [-0.0, 2.0]]), True),
+    (np.diag([1.0, np.nan]), True),  # only the off-diagonal entries decide
+    (np.array([[1.0, np.nan], [np.nan, 1.0]]), False),
+    (np.array([[1.0, 1e-300j], [-1e-300j, 1.0]]), False),
+    (np.ones((3, 3)), False),
+], ids=["zero-diagonal", "negative-zero", "nan-diagonal", "nan-off", "tiny-off", "dense"])
+def test_is_diagonal(op, diagonal):
+    assert bases.is_diagonal(op) == diagonal
+
+
+def test_is_diagonal_allocates_no_matrix():
+    op = np.diag(np.arange(256.0)).astype(complex)
+    tracemalloc.start()
+    try:
+        assert bases.is_diagonal(op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024  # a 256 x 256 difference would take 1 MB
 
 
 def test_apply_scalar_function_rejects_real_non_symmetric():

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -224,6 +225,22 @@ def test_eoh_flat_gaussian(tmp_path):
     assert run(["eoh", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     payload = read_json(tmp_path / "eoh.json")
     assert all(n == pytest.approx(1.0, abs=1e-9) for n in payload["norm"])
+
+
+@pytest.mark.parametrize("kind", ["interval", "double-well"])
+def test_eoh_profile_is_streamed_to_disk(tmp_path, kind):
+    # the whole run peaks at 0.5-0.6 times the CSV's size here; a list of its lines
+    # joined before writing peaked at about 4 times
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"eoh": {"kind": kind, "n_qubits": 6,
+                                       "tau_list": [0.01 * i for i in range(384)]}}))
+    tracemalloc.start()
+    try:
+        assert run(["eoh", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (tmp_path / "eoh_profile.csv").stat().st_size
 
 
 def test_preset_help_lists_presets(capsys):

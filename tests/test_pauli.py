@@ -117,7 +117,7 @@ def assert_listing_matches_loop(h):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_listing_matches_loop(n):
     rng = np.random.default_rng(n)
-    # a sparse real symmetric H leaves zero coefficients for zero_tol to drop
+    # a sparse real symmetric H leaves zero coefficients for decompose to drop
     a = rng.normal(size=(2**n, 2**n)) * (rng.random((2**n, 2**n)) < 0.3)
     assert_listing_matches_loop(a + a.T)
 
@@ -251,7 +251,8 @@ def test_matches_brute_force_random():
         dim = 2**n
         a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         h = (a + a.conj().T) / 2
-        s = pauli.decompose(h, zero_tol=0.0)
+        s = pauli.decompose(h)
+        assert len(s) == dim**2  # every coefficient of a random matrix is kept
         ref = brute_force_decompose(h)
         got = dict(zip(s.labels(), s.coeff))
         for label, c in ref.items():
@@ -294,7 +295,8 @@ def test_parseval_identity():
         dim = 2**n
         a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         h = (a + a.conj().T) / 2
-        s = pauli.decompose(h, zero_tol=0.0)
+        s = pauli.decompose(h)
+        assert len(s) == dim**2  # every coefficient of a random matrix is kept
         lhs = np.sum(s.coeff**2) * dim
         rhs = np.linalg.norm(h, "fro") ** 2
         assert abs(lhs - rhs) <= 1e-8 * rhs
