@@ -9,13 +9,13 @@ applies it ``steps`` times. The exact state is the product of one part, H
 itself, over one step: exp(-i w t) applied in H's eigenbasis. Each part is
 checked by ``bases.require_hermitian``, which returns a matrix with no
 imaginary part as real, so such a part is diagonalised in real arithmetic.
-Each eigensolve runs at the size the part's structure allows: a diagonal part
-takes none, a centrosymmetric part of even dimension (one that commutes with
-the grid reversal J, as every part of both EOH kinds does) takes two of half
-size, one per reflection sector, and any other part one full ``eigh``. A
-profile over a list of times checks and diagonalises each part, and their sum,
-once, and reuses those eigenpairs for the Trotter and the exact state at every
-time.
+When the dimension is even and every part is centrosymmetric (commutes with
+the grid reversal J, as every part of both EOH kinds does), the list is split
+once into its two reflection sectors, each running the same product on
+half-size blocks: a step is two half-size matvecs. A diagonal part or block
+takes no eigensolve, any other one ``eigh``. A profile checks and diagonalises
+each part, and their sum, once for all its times. A phase max|w|*|t| above
+``MAX_PHASE`` is a DomainError.
 """
 
 from __future__ import annotations
@@ -51,13 +51,8 @@ class KernelProfile:
         return np.abs(self.values) ** 2
 
 
-def _phases(w: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i w t); DomainError when a phase overflows to a non-finite value."""
-    with np.errstate(all="ignore"):
-        phases = np.exp(-1j * w * t)
-    if not np.isfinite(phases).all():
-        raise DomainError(f"exp(-i w t) is not finite at t = {t}")
-    return phases
+MAX_PHASE = 1e12
+"""Largest max|w|*|t| evolved: the rounding of w alone moves such a phase by about 1e-4 rad."""
 
 
 def exact_evolve(h: np.ndarray, t: float, psi: np.ndarray) -> np.ndarray:
@@ -84,25 +79,26 @@ def _checked(parts, steps: int, order: int, psi: np.ndarray):
 
 
 def _eigh(p: np.ndarray):
-    """Eigenvalues, in no set order, and orthonormal eigenvectors of a Hermitian part.
-
-    A diagonal part needs no eigensolve: its eigenvectors are I. A centrosymmetric part of
-    even dimension 2m (p = JpJ, J the reversal) splits into the m x m blocks A +- BJ, with
-    A = p[:m, :m] and B = p[:m, m:]; the eigenvectors u of A + BJ give (u; Ju)/sqrt(2), those
-    of A - BJ give (u; -Ju)/sqrt(2). Any other part takes one full ``eigh``.
-    """
+    """Eigenvalues, in no set order, and orthonormal eigenvectors; I for a diagonal part."""
     if is_diagonal(p):
         return np.diagonal(p).real, np.eye(p.shape[0])
-    m, odd = divmod(p.shape[0], 2)
-    if odd or not np.array_equal(p, p[::-1, ::-1]):
-        return np.linalg.eigh(p)
-    a, bj = p[:m, :m], p[:m, m:][:, ::-1]
-    (w_even, u_even), (w_odd, u_odd) = np.linalg.eigh(a + bj), np.linalg.eigh(a - bj)
-    u = np.block([[u_even, u_odd], [u_even[::-1], -u_odd[::-1]]]) / np.sqrt(2.0)
-    return np.concatenate([w_even, w_odd]), u
+    return np.linalg.eigh(p)
 
 
 def _split(parts):
+    """A :func:`_split_sector` per reflection sector when every part has them, else one of all.
+
+    At dimension 2m, a part p = JpJ bit for bit (J the reversal) acts on the sectors
+    (x; +-Jx)/sqrt(2) as the m x m blocks A +- BJ, with A = p[:m, :m] and B = p[:m, m:].
+    """
+    m, odd = divmod(parts[0].shape[0], 2)
+    if odd or not all(np.array_equal(p, p[::-1, ::-1]) for p in parts):
+        return [_split_sector(parts)]
+    blocks = [(p[:m, :m], p[:m, m:][:, ::-1]) for p in parts]
+    return [_split_sector([a + sign * bj for a, bj in blocks]) for sign in (1, -1)]
+
+
+def _split_sector(parts):
     """Each part's eigenvalues, part 0's eigenvectors u_0, and u_0^dag u_i for each later part i.
 
     In u_0's basis part 0 is diagonal and part i is (v_i * w_i) @ v_i^dag, with v_i the overlap.
@@ -115,7 +111,22 @@ def _split(parts):
     return [w for w, _ in spectra], u0, overlaps
 
 
-def _trotter(split, t: float, steps: int, order: int, psi: np.ndarray) -> np.ndarray:
+def _trotter(sectors, t: float, steps: int, order: int, psi: np.ndarray) -> np.ndarray:
+    """The Trotter product of each sector of :func:`_split` applied to its share of ``psi``.
+
+    Two sectors take the state in as e, o = (top +- J bottom)/sqrt(2) and give it back as
+    ((e + o)/sqrt(2), J(e - o)/sqrt(2)); neither step is a matrix product.
+    """
+    if len(sectors) == 1:
+        return _trotter_sector(sectors[0], t, steps, order, psi)
+    m = psi.size // 2
+    top, jbottom = psi[:m], psi[m:][::-1]
+    e = _trotter_sector(sectors[0], t, steps, order, (top + jbottom) / np.sqrt(2.0))
+    o = _trotter_sector(sectors[1], t, steps, order, (top - jbottom) / np.sqrt(2.0))
+    return np.concatenate([e + o, (e - o)[::-1]]) / np.sqrt(2.0)
+
+
+def _trotter_sector(split, t: float, steps: int, order: int, psi: np.ndarray) -> np.ndarray:
     """The order-1 product or order-2 Strang product of ``steps`` slices, applied to ``psi``.
 
     One slice is multiplied into a single step matrix in part 0's eigenbasis. Part 0
@@ -125,6 +136,9 @@ def _trotter(split, t: float, steps: int, order: int, psi: np.ndarray) -> np.nda
     written into its real and imaginary parts, when its overlap v_i is real.
     """
     w, u0, v = split
+    phase = abs(float(t)) * float(np.max(np.abs(np.concatenate(w))))
+    if not phase <= MAX_PHASE:
+        raise DomainError(f"phase max|w t| = {phase:.3g} at t = {t} is above {MAX_PHASE:g}")
     dt = t / steps
     if order == 1:
         factors = [(i, dt) for i in range(len(w))]
@@ -132,9 +146,9 @@ def _trotter(split, t: float, steps: int, order: int, psi: np.ndarray) -> np.nda
         half = [(i, dt / 2.0) for i in range(len(w) - 1)]
         factors = half + [(len(w) - 1, dt)] + half[::-1]
     (_, t0), *rest = factors
-    s = _phases(w[0], t0)
+    s = np.exp(-1j * w[0] * t0)
     for i, ti in rest:
-        phases = _phases(w[i], ti)
+        phases = np.exp(-1j * w[i] * ti)
         if i == 0:
             s = phases[:, None] * s
             continue

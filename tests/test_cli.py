@@ -425,6 +425,10 @@ STARO = {"model": "starobinsky", "qubits": [2]}
         pytest.param("eoh", {"eoh": {"kind": "double-well", "params": {"kind": "morse-s2"}}},
                      2, id="eoh-params-kind"),
         pytest.param("eoh", {"eoh": {"n_qubits": 3, "tau_list": [1e308]}}, 1, id="tau-overflow"),
+        # phases |w tau| of 3e302 and 3e301 rad: finite, but rounding moves them by many turns
+        pytest.param("eoh", {"eoh": {"kind": "double-well", "n_qubits": 3,
+                                     "params": {"Lambda": 1e300}}}, 1, id="phase-lambda-1e300"),
+        pytest.param("eoh", {"eoh": {"tau_list": [-1e300]}}, 1, id="phase-tau-1e300"),
     ],
 )
 def test_exit_codes(tmp_path, capsys, recwarn, command, config, code):

@@ -81,6 +81,22 @@ def test_exact_evolve_overflowing_time():
         exact_evolve(h, 1e308, np.array([1, 0], dtype=complex))
 
 
+def test_phase_bound():
+    """max|w|*|t| up to MAX_PHASE evolves; one ulp above it raises, for any step count."""
+    h = np.diag([4.0, -4.0])
+    psi = np.array([1, 0], dtype=complex)
+    t = evolution.MAX_PHASE / 4.0
+    above = np.nextafter(t, np.inf)
+    for sign in (1.0, -1.0):
+        assert abs(abs(exact_evolve(h, sign * t, psi)[0]) - 1.0) <= 1e-12
+        with pytest.raises(DomainError, match="above 1e\\+12"):
+            exact_evolve(h, sign * above, psi)
+    parts = [h, np.array([[0.0, 1.0], [1.0, 0.0]])]
+    assert np.isfinite(trotter_evolve(parts, t, 1000, 2, psi).final).all()
+    with pytest.raises(DomainError):
+        trotter_evolve(parts, above, 1000, 2, psi)
+
+
 def test_unitarity_and_fidelity():
     h = free_interval_hamiltonian(4)
     parts = split_even_odd(h)
@@ -363,7 +379,7 @@ def test_profiles_match_frozen_oracle(n_qubits, order, case):
 
 
 # ---------------------------------------------------------------------------
-# _eigh's diagonal and centrosymmetric cases against np.linalg.eigh
+# _eigh's two cases against np.linalg.eigh, and the sector split of _split
 
 def _centrosymmetric(rng, dim, kind):
     a = random_hermitian(rng, dim) if kind == "complex" else _random_symmetric(rng, dim)
@@ -380,10 +396,15 @@ def _repeated_diagonal(rng, dim, kind):
     return np.diag(rng.choice([-1.5, 0.0, 2.0], size=dim)).astype(complex if kind == "complex" else float)
 
 
+def _assert_eigenpairs(p, w, u):
+    scale = np.max(np.abs(p))
+    assert np.max(np.abs((u * w) @ u.conj().T - p)) <= 1e-12 * scale
+    assert np.max(np.abs(u.conj().T @ u - np.eye(p.shape[0]))) <= 1e-12
+    assert np.max(np.abs(np.sort(w) - np.linalg.eigvalsh(p))) <= 1e-12 * scale
+
+
 # each case with the shapes of the eigh calls it takes
 _EIGH_CASES = {
-    "centrosymmetric": (_centrosymmetric, [2, 6, 16, 64, 130, 256],
-                        lambda dim: [(dim // 2, dim // 2)] * 2),
     "diagonal": (_repeated_diagonal, [1, 2, 7, 64, 256], lambda dim: []),
     "odd": (_centrosymmetric, [3, 5, 63, 255], lambda dim: [(dim, dim)]),
     "one-ulp-off": (_one_ulp_off, [2, 6, 64, 256], lambda dim: [(dim, dim)]),
@@ -401,10 +422,63 @@ def test_eigh_matches_numpy(monkeypatch, case, kind):
         calls.clear()
         w, u = evolution._eigh(p)
         assert calls == expected_calls(dim)
-        scale = np.max(np.abs(p))
-        assert np.max(np.abs((u * w) @ u.conj().T - p)) <= 1e-12 * scale
-        assert np.max(np.abs(u.conj().T @ u - np.eye(dim))) <= 1e-12
-        assert np.max(np.abs(np.sort(w) - np.linalg.eigvalsh(p))) <= 1e-12 * scale
+        _assert_eigenpairs(p, w, u)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_sector_split_matches_numpy(monkeypatch, kind):
+    """A centrosymmetric part of dimension 2m takes two m x m eighs, one per reflection sector;
+    the sector eigenvectors u_e, u_o give p's as (u_e; J u_e)/sqrt(2) and (u_o; -J u_o)/sqrt(2)."""
+    calls = _counting_eigh(monkeypatch)
+    for dim in [2, 6, 16, 64, 130, 256]:
+        rng = np.random.default_rng([dim, kind == "complex", 3])
+        p = _centrosymmetric(rng, dim, kind)
+        calls.clear()
+        (w_even, u_even, _), (w_odd, u_odd, _) = evolution._split([p])
+        m = dim // 2
+        assert calls == ([(m, m)] * 2 if m > 1 else [])  # a 1 x 1 block is diagonal
+        u = np.block([[u_even, u_odd], [u_even[::-1], -u_odd[::-1]]]) / np.sqrt(2.0)
+        _assert_eigenpairs(p, np.concatenate(w_even + w_odd), u)
+
+
+# lists the sector split must leave whole: every part takes one full-size eigh
+_WHOLE_SPLITS = {
+    "odd": lambda rng, dim: [_centrosymmetric(rng, dim + 1, k) for k in ("real", "complex")],
+    "one-ulp-off": lambda rng, dim: [_centrosymmetric(rng, dim, "real"),
+                                     _one_ulp_off(rng, dim, "complex")],
+    "mixed": lambda rng, dim: [_centrosymmetric(rng, dim, "real"), _random_symmetric(rng, dim)],
+}
+
+
+@pytest.mark.parametrize("n_qubits", [1, 4, 8])
+@pytest.mark.parametrize("case", list(_WHOLE_SPLITS))
+def test_split_falls_back_to_whole_parts(monkeypatch, case, n_qubits):
+    rng = np.random.default_rng([n_qubits, list(_WHOLE_SPLITS).index(case)])
+    parts = _WHOLE_SPLITS[case](rng, 2**n_qubits)
+    dim = parts[0].shape[0]
+    psi = random_state(rng, dim)
+    calls = _counting_eigh(monkeypatch)
+    final = trotter_evolve(parts, 0.7, 5, 2, psi).final
+    assert calls == [(dim, dim)] * 2
+    assert np.max(np.abs(final - _oracle_trotter(parts, 0.7, 5, 2, psi))) <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["interval", "double-well", "random"])
+def test_swapped_sectors_miss_the_oracle(case):
+    """Mutation check of the sector route: with the two sectors' splits swapped, the Trotter state
+    misses the frozen oracle by far more than the 1e-12 that the unswapped split meets."""
+    if case == "random":
+        rng = np.random.default_rng(7)
+        parts = _ORACLE_SPLITS["centrosymmetric"](rng, 32)
+        psi0 = random_state(rng, 32)
+    else:
+        build = _interval_case if case == "interval" else _double_well_case
+        parts, psi0, _ = build([], 32, 2)
+    split = evolution._split(parts)
+    assert len(split) == 2
+    oracle = _oracle_trotter(parts, 0.5, 32, 2, psi0)
+    assert np.max(np.abs(evolution._trotter(split, 0.5, 32, 2, psi0) - oracle)) <= 1e-12
+    assert np.max(np.abs(evolution._trotter(split[::-1], 0.5, 32, 2, psi0) - oracle)) > 1e-3
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -115,6 +116,13 @@ def test_greens_error_contract():
 # ---------------------------------------------------------------------------
 # analytic kernels
 
+@functools.lru_cache(maxsize=4)
+def gauss_legendre(n):
+    """The n-point Gauss-Legendre nodes and weights, built once per n: leggauss(4000) takes
+    seconds, and three tests compose kernels with it. The callers only read the arrays."""
+    return np.polynomial.legendre.leggauss(n)
+
+
 def contour_compose(kernel_fn, y, y_prime, tau1, tau2, L=8.0, rays=3.0, n=4000):
     """Chapman-Kolmogorov integral along a rotated-tail contour.
 
@@ -122,7 +130,7 @@ def contour_compose(kernel_fn, y, y_prime, tau1, tau2, L=8.0, rays=3.0, n=4000):
     real line by exp(i pi/4) turns the quadratic phase into Gaussian decay,
     so plain Gauss-Legendre panels converge quickly.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes, weights = gauss_legendre(n)
 
     def integrate(seg_from, seg_to, direction):
         mid = (seg_to + seg_from) / 2.0
