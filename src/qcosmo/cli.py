@@ -11,7 +11,8 @@ Exit codes: 0 success (an unconverged VQE is still a success), 1 numerical
 failure, 2 usage or configuration error. Each JSON file embeds a schema
 version and resolved config keys (README lists which ones each holds);
 identical config and seed give byte-identical files (the trace CSV's
-elapsed_ms column is wall-clock and exempt).
+elapsed_ms column is wall-clock and exempt). Each command imports its solver
+modules when it runs, so ``exact`` loads no evolution code and ``eoh`` no VQE.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import config, evolution, models, pauli, presets, tunneling, vqe
+from . import config, models, presets
 from .circuits import AnsatzSpec
 from .errors import ConfigError, QcosmoError
 
@@ -95,6 +96,7 @@ def _model_config(run: dict) -> dict:
 
 def _exact_summary(h: np.ndarray) -> dict:
     """The exact ground, Pauli term count and dimension of a built Hamiltonian."""
+    from . import pauli, vqe
     return {
         "exact_ground": vqe.exact_ground(h),
         "pauli_terms": len(pauli.decompose(h)),
@@ -116,6 +118,7 @@ def cmd_exact(args) -> int:
 
 
 def cmd_vqe(args) -> int:
+    from . import vqe
     run = _load_config(args)
     out_dir = _out_dir(args)
     h, resolved = models.build_model(_model_config(run))
@@ -154,6 +157,7 @@ def cmd_vqe(args) -> int:
 
 
 def cmd_eoh(args) -> int:
+    from . import evolution
     eoh = _load_config(args)["eoh"]
     if eoh is None:
         raise ConfigError("eoh command requires an 'eoh' block or preset")
@@ -187,6 +191,7 @@ def cmd_eoh(args) -> int:
 
 
 def _tunneling_report(block: dict) -> dict:
+    from . import tunneling
     params, _ = models.params_from_dict(block["model"], block["params"])
     potential = models.SINGLE_FIELD_POTENTIALS[block["model"]](params)
     return tunneling.report(potential, block["guess"])

@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import sys
 
-from . import evolution, models
+from . import models
 from .circuits import ROTATIONS, AnsatzSpec
 from .errors import ConfigError
-from .vqe import OptimizerConfig, OptimizerKind
+from .optimizers import OptimizerConfig, OptimizerKind
 
 _AT_LEAST_ONE = range(1, sys.maxsize)
 
@@ -32,8 +32,8 @@ _EOH_SCHEMA = {
     "n_qubits": (5, int, models.QUBIT_COUNTS),
     "x0_index": (None, int, None),  # None: the middle of the grid
     "tau_list": ([0.0, 0.1], [float], None),
-    "steps": (evolution.PROFILE_STEPS, int, _AT_LEAST_ONE),
-    "order": (evolution.PROFILE_ORDER, int, (1, 2)),
+    "steps": (64, int, _AT_LEAST_ONE),  # Trotter slices and order of the fifth-time profiles
+    "order": (2, int, (1, 2)),
     "center": (-1.5, float, None),
     "width": (0.35, float, None),
     # the double well's minisuperspace fields; its kind is always neg-lambda-morse

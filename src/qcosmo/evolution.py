@@ -162,8 +162,9 @@ def _trotter_sector(split, t: float, steps: int, order: int, psi: np.ndarray) ->
         s = np.multiply(factor, s, out=factor) if s.ndim == 1 else factor @ s
     apply = np.multiply if s.ndim == 1 else np.matmul
     out = u0.conj().T @ psi
+    spare = np.empty_like(out)
     for _ in range(steps):
-        out = apply(s, out)
+        out, spare = apply(s, out, out=spare), out
     return u0 @ out
 
 
@@ -209,10 +210,6 @@ def fd_grid(n_qubits: int) -> np.ndarray:
     return np.diagonal(build_position(BasisKind.FINITE_DIFFERENCE, 2**n_qubits))
 
 
-PROFILE_STEPS, PROFILE_ORDER = 64, 2
-"""Default Trotter slices and order of the fifth-time profiles."""
-
-
 def _profiles(parts, grid, psi0, tau_list, steps, order) -> list[KernelProfile]:
     """Trotter and exact states of ``psi0`` at each tau; the Trotter state at tau = 0 is ``psi0``.
 
@@ -228,11 +225,7 @@ def _profiles(parts, grid, psi0, tau_list, steps, order) -> list[KernelProfile]:
 
 
 def interval_propagation_profile(
-    n_qubits: int,
-    tau_list,
-    x0_index: int,
-    steps: int = PROFILE_STEPS,
-    order: int = PROFILE_ORDER,
+    n_qubits: int, tau_list, x0_index: int, steps: int, order: int
 ) -> list[KernelProfile]:
     """|K(x, x0; tau)|^2 profiles for free propagation along an interval.
 
@@ -276,13 +269,8 @@ def double_well_parts(params: MinisuperspaceParams, n_qubits: int) -> list[np.nd
 
 
 def double_well_eoh(
-    params: MinisuperspaceParams,
-    n_qubits: int,
-    tau_list,
-    center: float,
-    width: float,
-    steps: int = PROFILE_STEPS,
-    order: int = PROFILE_ORDER,
+    params: MinisuperspaceParams, n_qubits: int, tau_list, center: float, width: float,
+    steps: int, order: int,
 ) -> list[KernelProfile]:
     """Evolve a Gaussian through fifth time in the :func:`double_well_parts` barrier.
 

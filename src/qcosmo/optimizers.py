@@ -7,14 +7,35 @@ value is recorded one point at a time, in stack order, and a run stops when
 the evaluation budget is exhausted or when the best value has improved by
 less than ``tol`` over ``2 * n_params`` consecutive evaluations; where it
 stops does not depend on how the points were stacked. Given the same
-starting point the iterations are fully deterministic.
+starting point the iterations are fully deterministic. ``OptimizerKind`` names
+the two and ``OptimizerConfig`` holds a run's kind, budget, tolerance and seed.
 """
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .errors import ShapeError
+
+
+class OptimizerKind(enum.Enum):
+    NELDER_MEAD = "nelder-mead"
+    GRADIENT_DESCENT = "gradient-descent"
+
+
+@dataclass(frozen=True)
+class OptimizerConfig:
+    kind: OptimizerKind = OptimizerKind.GRADIENT_DESCENT
+    budget: int = 600
+    tol: float = 1e-9
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.budget < 1:
+            raise ShapeError("budget must be >= 1")
 
 
 @dataclass

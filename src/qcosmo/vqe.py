@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import enum
 import time
 from dataclasses import dataclass, field
 
@@ -12,23 +11,7 @@ from . import optimizers, pauli
 from .bases import energies, require_hermitian
 from .circuits import AnsatzSpec, apply_circuit, efficient_su2_ansatz
 from .errors import ShapeError
-
-
-class OptimizerKind(enum.Enum):
-    NELDER_MEAD = "nelder-mead"
-    GRADIENT_DESCENT = "gradient-descent"
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    kind: OptimizerKind = OptimizerKind.GRADIENT_DESCENT
-    budget: int = 600
-    tol: float = 1e-9
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.budget < 1:
-            raise ShapeError("budget must be >= 1")
+from .optimizers import OptimizerConfig, OptimizerKind
 
 
 @dataclass

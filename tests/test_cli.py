@@ -449,14 +449,31 @@ def test_empty_rotations_message_names_key(tmp_path, capsys):
     assert "config.vqe.rotations" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_out_scipy_integrate():
-    """Importing the CLI loads no scipy module at all, so scipy.integrate neither."""
-    code = ("import sys, qcosmo.cli; "
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+# the qcosmo modules that `import qcosmo.cli` loads, then the solvers each command adds
+_CLI_MODULES = {"qcosmo", "qcosmo.bases", "qcosmo.circuits", "qcosmo.cli", "qcosmo.config",
+                "qcosmo.errors", "qcosmo.models", "qcosmo.optimizers", "qcosmo.presets"}
+_COMMAND_SOLVERS = {
+    "import": ([], set()),
+    "exact": (["exact", "--preset", "table1"], {"qcosmo.pauli", "qcosmo.vqe"}),
+    "vqe": (["vqe", "--preset", "table1", "--budget", "5"], {"qcosmo.pauli", "qcosmo.vqe"}),
+    "eoh": (["eoh", "--preset", "fig13"], {"qcosmo.evolution"}),
+    "reproduce-table1": (["reproduce", "table1"], {"qcosmo.pauli", "qcosmo.vqe"}),
+    "reproduce-tunneling": (["reproduce", "tunneling"], {"qcosmo.tunneling"}),
+}
+
+
+@pytest.mark.parametrize("argv, solvers", _COMMAND_SOLVERS.values(), ids=_COMMAND_SOLVERS)
+def test_command_loads_only_its_solver(tmp_path, argv, solvers):
+    """A fresh interpreter runs one command and loads its solver modules and no scipy."""
+    if argv and argv[0] != "reproduce":
+        argv = [*argv, "--out", str(tmp_path)]
+    code = ("import sys, qcosmo.cli\n"
+            f"assert not {argv!r} or qcosmo.cli.main({argv!r}) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('qcosmo', 'scipy')))")
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60, check=True)
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip().splitlines()[-1] == str(sorted(_CLI_MODULES | solvers))
 
 
 def test_eoh_embeds_resolved_block(tmp_path):
@@ -475,15 +492,23 @@ _JUNK = st.one_of(
     st.lists(st.integers(-1, 3), max_size=2), st.just({"k": 1}),
     st.integers(LIMIT + 1, 10**6).map(lambda q: [q]),
 )
-_MUTABLE = (
-    [None]  # no change, a valid config
-    # a zero M2, c, mu2 or a_scale divides by zero, and 1e100 overflows: exit 1
-    + [("params", k) for k in ("M2", "c", "mu2", "a_scale", "g_X", "kind", "bogus")]
-    + [(None, k) for k in ("model", "qubits", "basis", "params", "vqe", "eoh", "out", "seed")]
-    + [("vqe", k) for k in ("reps", "rotations", "optimizer", "budget", "tol", "seed", "bogus")]
-    + [("eoh", k) for k in ("kind", "n_qubits", "x0_index", "tau_list", "steps", "order",
-                            "center", "width", "params")]
-)
+
+
+def _blocks(schema, path=(), enclosing=None):
+    """(path, schema, enclosing schema) of a schema table's block and of each block in it.
+
+    A params block with no schema of its own (None) is checked against its model's fields.
+    """
+    yield path, schema, enclosing
+    for key, (_, kind, allowed) in schema.items():
+        if kind is dict and allowed is None:
+            yield (*path, key), None, schema
+        elif kind is dict:
+            yield from _blocks(allowed, (*path, key), schema)
+
+
+# the run table and every block in it, so a new key is fuzzed as soon as it is added
+_MUTABLE = [None, *_blocks(config._RUN_SCHEMA)]
 
 
 @st.composite
@@ -502,11 +527,18 @@ def _configs(draw):
                 "n_qubits": draw(st.integers(1, 3)), "steps": draw(st.integers(1, 4)),
                 "tau_list": draw(st.lists(st.floats(-1, 1), max_size=2))},
     }
-    mutation = draw(st.sampled_from(_MUTABLE))
+    mutation = draw(st.sampled_from(_MUTABLE))  # None: no change, a valid config
     if mutation is not None:
-        block, key = mutation
-        edge = st.sampled_from([0.0, 1e100]) if block == "params" else st.nothing()
-        target = config if block is None else config.setdefault(block, {})
+        path, schema, enclosing = mutation
+        outer = config
+        for block in path[:-1]:
+            outer = outer.setdefault(block, {})
+        target = outer.setdefault(path[-1], {}) if path else config
+        if schema is None:
+            schema = models.params_schema(outer.get("model", enclosing["model"][0]))
+        key = draw(st.sampled_from([*schema, "bogus"]))
+        # a zero M2, c, mu2 or a_scale divides by zero, and 1e100 overflows: exit 1
+        edge = st.sampled_from([0.0, 1e100]) if path[-1:] == ("params",) else st.nothing()
         target[key] = draw(st.one_of(edge, _JUNK))
     return config
 

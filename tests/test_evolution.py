@@ -159,14 +159,14 @@ def test_trotter_error_slopes(order, target):
 
 
 def test_interval_profile_tau0_delta():
-    profs = interval_propagation_profile(5, [0.0], 16)
+    profs = interval_propagation_profile(5, [0.0], 16, steps=64, order=2)
     assert profs[0].squared[16] == pytest.approx(1.0)
     assert np.sum(profs[0].squared) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_interval_profile_norms_and_spread():
     taus = [0.0, 0.05, 0.1, 0.2]
-    profs = interval_propagation_profile(5, taus, 16)
+    profs = interval_propagation_profile(5, taus, 16, steps=64, order=2)
     grid = profs[0].grid
     variances = []
     for p in profs:
@@ -195,7 +195,8 @@ def test_interval_profile_matches_exact():
 def test_double_well_initial_and_norm():
     params = models.MinisuperspaceParams(Lambda=-0.5, k_curv=-2.5, v_volume=1.0)
     taus = [0.0, 0.5, 1.0]
-    profs = evolution.double_well_eoh(params, 5, taus, center=-1.58, width=0.35)
+    profs = evolution.double_well_eoh(params, 5, taus, center=-1.58, width=0.35,
+                                      steps=64, order=2)
     initial = evolution.gaussian_on_grid(profs[0].grid, -1.58, 0.35)
     assert np.max(np.abs(profs[0].values - initial)) <= 1e-12
     for p in profs:
@@ -206,7 +207,8 @@ def test_double_well_tunneling_signature():
     """Probability beyond the barrier grows monotonically at early fifth time."""
     params = models.MinisuperspaceParams(Lambda=-0.5, k_curv=-2.5, v_volume=1.0)
     taus = [0.0, 0.25, 0.5, 1.0]
-    profs = evolution.double_well_eoh(params, 5, taus, center=-1.58, width=0.35)
+    profs = evolution.double_well_eoh(params, 5, taus, center=-1.58, width=0.35,
+                                      steps=64, order=2)
     grid = profs[0].grid
     right = [float(np.sum(p.squared[grid > 0])) for p in profs]
     assert all(b > a for a, b in zip(right, right[1:]))
@@ -230,9 +232,9 @@ DW_PARAMS = models.MinisuperspaceParams(Lambda=-0.5, k_curv=-2.5, v_volume=1.0)
 def test_double_well_p_phi_is_a_global_phase():
     """-p_phi^2 shifts the potential by a constant: K changes, |K|^2 does not."""
     taus = [0.0, 0.5, 1.0]
-    base = evolution.double_well_eoh(DW_PARAMS, 4, taus, -1.58, 0.35, steps=8)
+    base = evolution.double_well_eoh(DW_PARAMS, 4, taus, -1.58, 0.35, steps=8, order=2)
     shifted_params = dataclasses.replace(DW_PARAMS, p_phi=1.5)
-    shifted = evolution.double_well_eoh(shifted_params, 4, taus, -1.58, 0.35, steps=8)
+    shifted = evolution.double_well_eoh(shifted_params, 4, taus, -1.58, 0.35, steps=8, order=2)
     assert np.max(np.abs(shifted[-1].values.real - base[-1].values.real)) > 0.1
     for b, s in zip(base, shifted):
         assert np.max(np.abs(s.squared - b.squared)) <= 1e-12
