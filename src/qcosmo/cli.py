@@ -31,8 +31,25 @@ from .errors import ConfigError, QcosmoError
 
 SCHEMA_VERSION = 1
 
-# the block each block-level override flag writes to
-_OVERRIDES = {"seed": "vqe", "budget": "vqe", "optimizer": "vqe", "steps": "eoh", "order": "eoh"}
+
+def _qubit_counts(text: str) -> list[int]:
+    try:
+        return [int(q) for q in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected qubit counts such as 4 or 4,4, not {text!r}")
+
+
+# each override flag: its argv type, the config block it writes to (None: the
+# top level) and the commands that read it; no other command takes the flag
+_OVERRIDES = {
+    "qubits": (_qubit_counts, None, ("exact", "vqe")),
+    "basis": (str, None, ("exact", "vqe")),
+    "seed": (int, "vqe", ("vqe",)),
+    "optimizer": (str, "vqe", ("vqe",)),
+    "budget": (int, "vqe", ("vqe",)),
+    "steps": (int, "eoh", ("eoh",)),
+    "order": (int, "eoh", ("eoh",)),
+}
 
 
 def _load_config(args) -> dict:
@@ -49,18 +66,14 @@ def _load_config(args) -> dict:
             raise ConfigError("config file must hold a JSON object")
         raw.update(loaded)
 
-    if args.qubits:
-        try:
-            raw["qubits"] = [int(q) for q in args.qubits.split(",")]
-        except ValueError as exc:
-            raise ConfigError(f"bad --qubits value {args.qubits!r}") from exc
-    if args.basis:
-        raw["basis"] = args.basis
-    for key, block in _OVERRIDES.items():
-        value = getattr(args, key)
+    for flag, (_, block, _) in _OVERRIDES.items():
+        value = getattr(args, flag, None)
+        if value is None:  # an absent flag adds no block, so eoh with none is still refused
+            continue
+        target = raw if block is None else raw.setdefault(block, {})
         # a block that is not an object is left for the schema to report
-        if value is not None and isinstance(raw.setdefault(block, {}), dict):
-            raw[block][key] = value
+        if isinstance(target, dict):
+            target[flag] = value
     return config.check_run(raw)
 
 
@@ -190,28 +203,22 @@ def cmd_eoh(args) -> int:
     return 0
 
 
-def _tunneling_report(block: dict) -> dict:
-    from . import tunneling
-    params, _ = models.params_from_dict(block["model"], block["params"])
-    potential = models.SINGLE_FIELD_POTENTIALS[block["model"]](params)
-    return tunneling.report(potential, block["guess"])
-
-
 def cmd_reproduce(args) -> int:
     table_id = args.table
-    if table_id not in presets.REPRODUCE_TABLES:
-        known = sorted(presets.REPRODUCE_TABLES)
-        raise ConfigError(f"unknown table id {table_id!r}; known: {known}")
     spec = presets.REPRODUCE_TABLES[table_id]
     results: dict[str, dict] = {}  # per preset: its exact summary or tunneling report
     rows_out = []
     for row in spec["rows"]:
         preset, quantity = row["preset"], row["quantity"]
         if preset not in results:
-            run = config.check_run(presets.get_preset(preset))
-            if run["model"] is None:
-                results[preset] = _tunneling_report(run["tunneling"])
+            # "tunneling" is a row label, not a preset: the report of the default
+            # dark_energy_1r potential, its minimum sought from phi = 5.0
+            if preset == "tunneling":
+                from . import tunneling
+                potential = models.dark_energy_potential(models.DarkEnergySingleRadiusParams())
+                results[preset] = tunneling.report(potential, 5.0)
             else:
+                run = config.check_run(presets.get_preset(preset))
                 results[preset] = _exact_summary(models.build_model(_model_config(run))[0])
         if quantity not in results[preset]:
             raise ConfigError(f"unknown reproduce quantity {quantity!r}")
@@ -235,47 +242,47 @@ def cmd_reproduce(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # the options of exact, vqe and eoh, declared once and shared as a parent
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON run configuration")
-    common.add_argument("--preset", help=f"named preset, one of {sorted(presets.PRESETS)}")
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--out", help="output directory (default $QCOSMO_OUT or .)")
-    common.add_argument("--qubits", help="qubit counts, e.g. 4 or 4,4")
-    common.add_argument("--basis")
-    common.add_argument("--optimizer")
-    common.add_argument("--budget", type=int, default=None)
-    common.add_argument("--steps", type=int, default=None)
-    common.add_argument("--order", type=int, default=None)
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that refuses argv with a ConfigError, so main prints one line."""
 
-    parser = argparse.ArgumentParser(
+    def error(self, message):
+        raise ConfigError(message)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
         prog="qcosmo",
         description="Quantum cosmology toolkit: exact spectra, VQE, and fifth-time evolution.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in (("exact", cmd_exact), ("vqe", cmd_vqe), ("eoh", cmd_eoh)):
-        sub.add_parser(name, parents=[common]).set_defaults(fn=fn)
+        p = sub.add_parser(name)
+        p.set_defaults(fn=fn)
+        p.add_argument("--config", help="JSON run configuration")
+        p.add_argument("--preset", help=f"named preset, one of {sorted(presets.PRESETS)}")
+        p.add_argument("--out", help="output directory (default $QCOSMO_OUT or .)")
+        for flag, (kind, block, commands) in _OVERRIDES.items():
+            if name in commands:
+                key = flag if block is None else f"{block}.{flag}"
+                p.add_argument(f"--{flag}", type=kind, help=f"sets config key {key}")
 
     p = sub.add_parser("reproduce")
-    p.add_argument("table", help=f"one of {sorted(presets.REPRODUCE_TABLES)}")
+    p.add_argument("table", choices=presets.REPRODUCE_TABLES, help="reference table id")
     p.set_defaults(fn=cmd_reproduce)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except SystemExit as exc:  # --help, once its text is printed
+        return exc.code
+    except ConfigError as exc:  # argv or a path may hold a line break: print one line
+        print("config error:", *str(exc).splitlines(), file=sys.stderr)
         return 2
     except (QcosmoError, ArithmeticError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        print("numerical failure:", *str(exc).splitlines(), file=sys.stderr)
         return 1
 
 

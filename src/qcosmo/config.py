@@ -1,7 +1,7 @@
 """JSON run-config schema: :func:`check_run` checks a whole run config at load.
 
-The ``vqe``, ``eoh`` and ``tunneling`` tables give each key as (default, type,
-allowed values), like ``models.MODEL_SCHEMA``; see :func:`models.check_block`.
+The ``vqe`` and ``eoh`` tables give each key as (default, type, allowed values),
+like ``models.MODEL_SCHEMA``; see :func:`models.check_block`.
 """
 
 from __future__ import annotations
@@ -39,16 +39,10 @@ _EOH_SCHEMA = {
     # the double well's minisuperspace fields; its kind is always neg-lambda-morse
     "params": ({}, dict, models.params_schema("minisuperspace")),
 }
-_TUNNELING_SCHEMA = {
-    "model": ("dark_energy_1r", str, tuple(models.SINGLE_FIELD_POTENTIALS)),
-    "params": ({}, dict, None),
-    "guess": (5.0, float, None),
-}
 _RUN_SCHEMA = {
     **models.MODEL_SCHEMA,
     "vqe": ({}, dict, _VQE_SCHEMA),
     "eoh": (None, dict, _EOH_SCHEMA),
-    "tunneling": ({}, dict, _TUNNELING_SCHEMA),
 }
 
 
@@ -66,7 +60,7 @@ def check_run(config: dict) -> dict:
         if n_params > models.MAX_PARAMS:
             raise ConfigError(f"config.vqe.reps {block['reps']} gives {n_params} ansatz parameters "
                               f"on {n} qubits, over the limit of {models.MAX_PARAMS}")
-    eoh, tun = run["eoh"], run["tunneling"]
+    eoh = run["eoh"]
     if eoh is not None:
         if len(eoh["tau_list"]) > MAX_TAUS:
             raise ConfigError(f"config.eoh.tau_list has {len(eoh['tau_list'])} times, "
@@ -74,5 +68,4 @@ def check_run(config: dict) -> dict:
         grid = range(2 ** eoh["n_qubits"])
         x0 = len(grid) // 2 if eoh["x0_index"] is None else eoh["x0_index"]
         eoh["x0_index"] = models.check_value(x0, int, grid, "config.eoh.x0_index")
-    tun["params"] = models.check_params(tun["model"], tun["params"])
     return run

@@ -458,11 +458,6 @@ _MODELS = {
     "dark_matter_2": (DarkMatterParams, dark_matter_model_two, 2),
     "minisuperspace": (MinisuperspaceParams, minisuperspace_hamiltonian, 1),
 }
-# the potentials the tunneling analysis accepts
-SINGLE_FIELD_POTENTIALS = {
-    "starobinsky": starobinsky_potential,
-    "dark_energy_1r": dark_energy_potential,
-}
 
 MODEL_SCHEMA = {
     "model": (None, str, tuple(_MODELS)),

@@ -38,7 +38,6 @@ PRESETS: dict[str, dict] = {
             "params": {"Lambda": -0.5, "k_curv": -2.5, "v_volume": 1.0},
         },
     },
-    "tunneling": {"tunneling": {}},
 }
 
 # reference values for the side-by-side comparison tables

@@ -60,25 +60,68 @@ def test_exact_writes_pauli_terms(tmp_path, capsys, preset, terms):
     assert read_json(tmp_path / "exact.json")["pauli_terms"] == terms
 
 
-_NO_OPTIONS = dict.fromkeys(["config", "preset", "seed", "out", "qubits", "basis", "optimizer",
-                             "budget", "steps", "order"])
+# the flags of each command: its inputs, then the overrides it reads
+_BASE = ["config", "preset", "out"]
+_FLAGS = {"exact": [*_BASE, "qubits", "basis"],
+          "vqe": [*_BASE, "qubits", "basis", "seed", "optimizer", "budget"],
+          "eoh": [*_BASE, "steps", "order"]}
 
 
 @pytest.mark.parametrize("argv, expected", [
-    (["exact", "--config", "c.json", "--preset", "table1", "--seed", "3", "--out", "d",
-      "--qubits", "4,4", "--basis", "fd", "--optimizer", "spsa", "--budget", "20",
-      "--steps", "5", "--order", "2"],
+    (["exact", "--config", "c.json", "--preset", "table1", "--out", "d",
+      "--qubits", "4,4", "--basis", "fd"],
      {"command": "exact", "fn": cli.cmd_exact, "config": "c.json", "preset": "table1",
-      "seed": 3, "out": "d", "qubits": "4,4", "basis": "fd", "optimizer": "spsa",
-      "budget": 20, "steps": 5, "order": 2}),
+      "out": "d", "qubits": [4, 4], "basis": "fd"}),
     (["vqe", "--budget=9", "--seed", "-1"],
-     {**_NO_OPTIONS, "command": "vqe", "fn": cli.cmd_vqe, "budget": 9, "seed": -1}),
+     {**dict.fromkeys(_FLAGS["vqe"]), "command": "vqe", "fn": cli.cmd_vqe, "budget": 9,
+      "seed": -1}),
     (["eoh", "--preset", "fig13", "--steps", "7"],
-     {**_NO_OPTIONS, "command": "eoh", "fn": cli.cmd_eoh, "preset": "fig13", "steps": 7}),
+     {**dict.fromkeys(_FLAGS["eoh"]), "command": "eoh", "fn": cli.cmd_eoh, "preset": "fig13",
+      "steps": 7}),
     (["reproduce", "table2"], {"command": "reproduce", "fn": cli.cmd_reproduce, "table": "table2"}),
 ], ids=["exact", "vqe", "eoh", "reproduce"])
 def test_parser_namespaces(argv, expected):
     assert vars(cli.build_parser().parse_args(argv)) == expected
+
+
+@pytest.mark.parametrize("argv", [["eoh", "--preset", "fig13", "--qubits", "6"],
+                                  ["exact", "--preset", "table1", "--seed", "3"],
+                                  ["vqe", "--preset", "table1", "--steps", "3"]],
+                         ids=["eoh-qubits", "exact-seed", "vqe-steps"])
+def test_command_refuses_flags_it_does_not_read(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert run([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: unrecognized arguments: {' '.join(argv[-2:])}")
+    assert len(err.splitlines()) == 1 and not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["eoh", "--preset", "table1"], ["eoh"]],
+                         ids=["preset-without-eoh", "no-config"])
+def test_eoh_requires_an_eoh_block(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert run([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: eoh command requires an 'eoh' block or preset\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["vqe", "--preset", "table1", "--budget", "x"], "argument --budget: invalid int value: 'x'"),
+    (["frob"], "argument command: invalid choice: 'frob'"),
+    (["exact", "--preset", "table1", "--qubits", "4,x"], "argument --qubits: "),
+    (["reproduce", "tableX"], "argument table: invalid choice: 'tableX'"),
+    # an unknown argument's line break does not make a second line
+    (["exact", "--bogus", "a\nb"], "unrecognized arguments: --bogus a b"),
+], ids=["budget-x", "frob", "qubits-4-x", "reproduce-tableX", "line-break"])
+def test_argv_refusals_are_one_line(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    if argv[0] != "reproduce":
+        argv = [*argv, "--out", str(out)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}")
+    assert len(err.splitlines()) == 1 and not out.exists()
 
 
 @pytest.mark.parametrize("content", [
@@ -99,9 +142,11 @@ def test_malformed_config_exits_2(tmp_path, capsys, content):
 
 def test_unknown_keys_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"model": "starobinsky", "qubits": [2], "mystery": 1}))
-    assert run(["exact", "--config", str(cfg), "--out", str(tmp_path)]) == 2
-    assert "unknown config keys" in capsys.readouterr().err
+    # tunneling is a removed block: no command read it
+    for extra in ({"mystery": 1}, {"tunneling": {}}):
+        cfg.write_text(json.dumps({"model": "starobinsky", "qubits": [2], **extra}))
+        assert run(["exact", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert f"unknown config keys: {list(extra)}" in capsys.readouterr().err
 
 
 def test_vqe_artifacts_and_budget_one(tmp_path):
@@ -265,7 +310,9 @@ def test_reproduce_tunneling(capsys):
 def test_reproduce_unknown_id(capsys):
     assert run(["reproduce", "tableX"]) == 2
     err = capsys.readouterr().err
-    assert "known" in err and "table1" in err
+    # one line that lists every known table id
+    assert len(err.splitlines()) == 1
+    assert all(t in err for t in presets.REPRODUCE_TABLES)
 
 
 def test_reproduce_builds_each_preset_once(monkeypatch, capsys):
@@ -494,17 +541,17 @@ _JUNK = st.one_of(
 )
 
 
-def _blocks(schema, path=(), enclosing=None):
-    """(path, schema, enclosing schema) of a schema table's block and of each block in it.
+def _blocks(schema, path=()):
+    """(path, schema) of a schema table's block and of each block in it.
 
     A params block with no schema of its own (None) is checked against its model's fields.
     """
-    yield path, schema, enclosing
+    yield path, schema
     for key, (_, kind, allowed) in schema.items():
         if kind is dict and allowed is None:
-            yield (*path, key), None, schema
+            yield (*path, key), None
         elif kind is dict:
-            yield from _blocks(allowed, (*path, key), schema)
+            yield from _blocks(allowed, (*path, key))
 
 
 # the run table and every block in it, so a new key is fuzzed as soon as it is added
@@ -512,13 +559,14 @@ _MUTABLE = [None, *_blocks(config._RUN_SCHEMA)]
 
 
 @st.composite
-def _configs(draw):
+def _small_configs(draw):
+    """A valid config within the size caps."""
     model = draw(st.sampled_from(["starobinsky", "dark_energy_1r", "dark_energy_2r",
                                   "dark_matter_1", "dark_matter_2"]))
     q = draw(st.integers(1, 3))
-    config = {
+    return {
         "model": model,
-        "qubits": [q] if model in models.SINGLE_FIELD_POTENTIALS else [q, q],
+        "qubits": [q] if model in ("starobinsky", "dark_energy_1r") else [q, q],
         "basis": draw(st.sampled_from(["oscillator", "position", "fd"])),
         "vqe": {"budget": draw(st.integers(1, 20)), "reps": draw(st.integers(1, 2)),
                 "optimizer": draw(st.sampled_from(["gradient-descent", "nelder-mead"])),
@@ -527,15 +575,20 @@ def _configs(draw):
                 "n_qubits": draw(st.integers(1, 3)), "steps": draw(st.integers(1, 4)),
                 "tau_list": draw(st.lists(st.floats(-1, 1), max_size=2))},
     }
+
+
+@st.composite
+def _configs(draw):
+    config = draw(_small_configs())
     mutation = draw(st.sampled_from(_MUTABLE))  # None: no change, a valid config
     if mutation is not None:
-        path, schema, enclosing = mutation
+        path, schema = mutation
         outer = config
         for block in path[:-1]:
             outer = outer.setdefault(block, {})
         target = outer.setdefault(path[-1], {}) if path else config
         if schema is None:
-            schema = models.params_schema(outer.get("model", enclosing["model"][0]))
+            schema = models.params_schema(outer["model"])
         key = draw(st.sampled_from([*schema, "bogus"]))
         # a zero M2, c, mu2 or a_scale divides by zero, and 1e100 overflows: exit 1
         edge = st.sampled_from([0.0, 1e100]) if path[-1:] == ("params",) else st.nothing()
@@ -554,3 +607,40 @@ def test_random_configs_exit_cleanly(command, config):
             code = run([command, "--config", str(cfg), "--out", tmp])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+# Random argv: a command, then up to three flags drawn from the cli table and one
+# unknown flag, each with a valid value or junk, over a small valid config. Junk
+# holds no decimal digit, so it never parses as a count: the sizes stay capped.
+# A flag added to the table needs its valid values here, or the test fails.
+_ARGV_VALUES = {
+    "qubits": st.sampled_from(["1", "3", "2,2", "3,3", "9", "1,1,1", "0"]),
+    "basis": st.sampled_from(["oscillator", "position", "fd"]),
+    "seed": st.sampled_from(["0", "5", "-1"]),
+    "optimizer": st.sampled_from(["gradient-descent", "nelder-mead", "cobyla"]),
+    "budget": st.sampled_from(["1", "20", "0"]),
+    "steps": st.sampled_from(["1", "4", "0"]),
+    "order": st.sampled_from(["1", "2", "3"]),
+    "bogus": st.just("1"),
+}
+_ARGV_JUNK = st.one_of(st.text(st.characters(exclude_categories=["Nd"]), max_size=4),
+                       st.sampled_from(["", "-", "--", "-h5", "4,x", "1e3"]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(command=st.sampled_from(["exact", "vqe", "eoh"]), config=_small_configs(),
+       flags=st.lists(st.sampled_from([*cli._OVERRIDES, "bogus"]), max_size=3, unique=True),
+       data=st.data())
+def test_random_argv_exit_cleanly(command, config, flags, data):
+    argv = [command]
+    for flag in flags:
+        argv += [f"--{flag}", data.draw(st.one_of(_ARGV_VALUES[flag], _ARGV_JUNK))]
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run([*argv, "--config", str(cfg), "--out", tmp])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert code == 0 or len(err.getvalue().splitlines()) == 1
