@@ -52,8 +52,21 @@ _OVERRIDES = {
 }
 
 
+def _merge(base: dict, top: dict) -> None:
+    """Lay ``top`` over ``base``: an object over an object merges key by key, anything else replaces."""
+    for key, value in top.items():
+        if isinstance(value, dict) and isinstance(base.get(key), dict):
+            _merge(base[key], value)
+        else:
+            base[key] = value
+
+
 def _load_config(args) -> dict:
-    """The preset and config file merged, argv overrides applied, then checked."""
+    """The preset, then the config file, then argv overrides, merged and checked.
+
+    A run that lacks what its command needs (a model, or an ``eoh`` block) is
+    refused here, before any output directory is made.
+    """
     raw: dict = {}
     if args.preset:
         raw = presets.get_preset(args.preset)
@@ -64,7 +77,7 @@ def _load_config(args) -> dict:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
-        raw.update(loaded)
+        _merge(raw, loaded)
 
     for flag, (_, block, _) in _OVERRIDES.items():
         value = getattr(args, flag, None)
@@ -74,7 +87,12 @@ def _load_config(args) -> dict:
         # a block that is not an object is left for the schema to report
         if isinstance(target, dict):
             target[flag] = value
-    return config.check_run(raw)
+    run = config.check_run(raw)
+    if args.command == "eoh" and run["eoh"] is None:
+        raise ConfigError("eoh command requires an 'eoh' block or preset")
+    if args.command != "eoh" and run["model"] is None:
+        raise ConfigError(f"{args.command} command requires a 'model' key or a model preset")
+    return run
 
 
 def _out_dir(args) -> Path:
@@ -172,8 +190,6 @@ def cmd_vqe(args) -> int:
 def cmd_eoh(args) -> int:
     from . import evolution
     eoh = _load_config(args)["eoh"]
-    if eoh is None:
-        raise ConfigError("eoh command requires an 'eoh' block or preset")
     out_dir = _out_dir(args)
     n, tau_list, steps, order = eoh["n_qubits"], eoh["tau_list"], eoh["steps"], eoh["order"]
     if eoh["kind"] == "interval":
@@ -250,13 +266,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no prefix matching: each command takes only the flag names it lists
     parser = _Parser(
         prog="qcosmo",
+        allow_abbrev=False,
         description="Quantum cosmology toolkit: exact spectra, VQE, and fifth-time evolution.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in (("exact", cmd_exact), ("vqe", cmd_vqe), ("eoh", cmd_eoh)):
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, allow_abbrev=False)
         p.set_defaults(fn=fn)
         p.add_argument("--config", help="JSON run configuration")
         p.add_argument("--preset", help=f"named preset, one of {sorted(presets.PRESETS)}")
@@ -266,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
                 key = flag if block is None else f"{block}.{flag}"
                 p.add_argument(f"--{flag}", type=kind, help=f"sets config key {key}")
 
-    p = sub.add_parser("reproduce")
+    p = sub.add_parser("reproduce", allow_abbrev=False)
     p.add_argument("table", choices=presets.REPRODUCE_TABLES, help="reference table id")
     p.set_defaults(fn=cmd_reproduce)
     return parser

@@ -86,8 +86,11 @@ def test_parser_namespaces(argv, expected):
 
 @pytest.mark.parametrize("argv", [["eoh", "--preset", "fig13", "--qubits", "6"],
                                   ["exact", "--preset", "table1", "--seed", "3"],
-                                  ["vqe", "--preset", "table1", "--steps", "3"]],
-                         ids=["eoh-qubits", "exact-seed", "vqe-steps"])
+                                  ["vqe", "--preset", "table1", "--steps", "3"],
+                                  # no flag is taken by a prefix of its name
+                                  ["exact", "--preset", "table1", "--b", "3"],
+                                  ["vqe", "--preset", "table1", "--opt", "nelder-mead"]],
+                         ids=["eoh-qubits", "exact-seed", "vqe-steps", "exact-b", "vqe-opt"])
 def test_command_refuses_flags_it_does_not_read(tmp_path, capsys, argv):
     out = tmp_path / "out"
     assert run([*argv, "--out", str(out)]) == 2
@@ -96,14 +99,34 @@ def test_command_refuses_flags_it_does_not_read(tmp_path, capsys, argv):
     assert len(err.splitlines()) == 1 and not out.exists()
 
 
-@pytest.mark.parametrize("argv", [["eoh", "--preset", "table1"], ["eoh"]],
-                         ids=["preset-without-eoh", "no-config"])
-def test_eoh_requires_an_eoh_block(tmp_path, capsys, argv):
+@pytest.mark.parametrize("argv, message", [
+    (["eoh", "--preset", "table1"], "eoh command requires an 'eoh' block or preset"),
+    (["eoh"], "eoh command requires an 'eoh' block or preset"),
+    (["exact"], "exact command requires a 'model' key or a model preset"),
+    (["vqe", "--preset", "fig13"], "vqe command requires a 'model' key or a model preset"),
+], ids=["preset-without-eoh", "no-config", "exact-no-model", "vqe-preset-without-model"])
+def test_eoh_requires_an_eoh_block(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
     assert run([*argv, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err == "config error: eoh command requires an 'eoh' block or preset\n"
+    assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists()
+
+
+def test_config_file_merges_into_preset_blocks(tmp_path):
+    # preset, then file, then flags: a file's block sets only the keys it names
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"vqe": {"seed": 3}}))
+    parser = cli.build_parser()
+    from_file = cli._load_config(parser.parse_args(
+        ["vqe", "--preset", "table4-256", "--config", str(cfg)]))
+    from_flag = cli._load_config(parser.parse_args(["vqe", "--preset", "table4-256", "--seed", "3"]))
+    assert from_file == from_flag
+    assert from_file["vqe"]["reps"] == 5 and from_file["vqe"]["budget"] == 5000
+    # the same rule holds one level down: fig16's other double-well params stay
+    cfg.write_text(json.dumps({"eoh": {"params": {"Lambda": -1.0}}}))
+    params = cli._load_config(parser.parse_args(
+        ["eoh", "--preset", "fig16", "--config", str(cfg)]))["eoh"]["params"]
+    assert (params["Lambda"], params["k_curv"], params["v_volume"]) == (-1.0, -2.5, 1.0)
 
 
 @pytest.mark.parametrize("argv, message", [
