@@ -7,13 +7,14 @@ the leftmost tensor factor, i.e. the most significant bit of the state index.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ShapeError
-from .bases import energies, require_hermitian
+from .bases import MAX_QUBITS, energies, require_hermitian
 
 
 ROTATIONS = ("ry", "rz")
@@ -28,6 +29,9 @@ class AnsatzSpec:
     rotations: tuple[str, ...] = ROTATIONS
 
     def __post_init__(self):
+        # the CNOT block's permutation holds 2**n_qubits entries
+        if not 1 <= self.n_qubits <= MAX_QUBITS:
+            raise ShapeError(f"n_qubits must be 1 to {MAX_QUBITS}, not {self.n_qubits}")
         if self.reps < 1:
             raise ShapeError("reps must be >= 1")
         if not self.rotations:
@@ -66,10 +70,11 @@ def efficient_su2_ansatz(spec: AnsatzSpec) -> Ansatz:
     order. Parameter count: ``spec.n_params``.
     """
     n = spec.n_qubits
-    perm = np.arange(2**n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            perm = _apply_cnot(perm, n, i, j)
+    k = np.arange(2**n)
+    perm = k
+    for i, j in itertools.combinations(range(n), 2):
+        # CNOT(i, j) as a gather: state index k reads k with bit j flipped if bit i is set
+        perm = perm[k ^ (((k >> (n - 1 - i)) & 1) << (n - 1 - j))]
     perm.flags.writeable = False
     # one qubit has no CNOT between its layers, so they fuse into one run
     if n > 1:
@@ -81,17 +86,6 @@ def zero_state(n_qubits: int) -> np.ndarray:
     psi = np.zeros(2**n_qubits, dtype=complex)
     psi[0] = 1.0
     return psi
-
-
-def _apply_cnot(psi: np.ndarray, n: int, control: int, target: int) -> np.ndarray:
-    t = psi.reshape((2,) * n).copy()
-    ctrl_one = np.take(t, 1, axis=control)
-    # the control axis is gone after take(), so later axes shift down by one
-    flipped = np.flip(ctrl_one, axis=target if target < control else target - 1)
-    slicer = [slice(None)] * n
-    slicer[control] = 1
-    t[tuple(slicer)] = flipped
-    return t.reshape(-1)
 
 
 def _kron(us: np.ndarray) -> np.ndarray:

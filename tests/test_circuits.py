@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qcosmo import circuits
+from qcosmo.bases import MAX_QUBITS
 from qcosmo.circuits import AnsatzSpec, apply_circuit, efficient_su2_ansatz
 from qcosmo.errors import ShapeError
 
@@ -34,6 +35,18 @@ def rotation(kind, t):
     return np.diag([np.exp(-1j * t / 2), np.exp(1j * t / 2)])
 
 
+def cnot(psi, n, control, target):
+    """CNOT on a state seen as an n-axis tensor: flip the target axis where the control is 1."""
+    t = psi.reshape((2,) * n).copy()
+    ctrl_one = np.take(t, 1, axis=control)
+    # the control axis is gone after take(), so later axes shift down by one
+    flipped = np.flip(ctrl_one, axis=target if target < control else target - 1)
+    slicer = [slice(None)] * n
+    slicer[control] = 1
+    t[tuple(slicer)] = flipped
+    return t.reshape(-1)
+
+
 def interpret(spec, params, init=None):
     """The former per-gate interpreter of apply_circuit, kept as its oracle.
 
@@ -44,7 +57,7 @@ def interpret(spec, params, init=None):
     psi = circuits.zero_state(n) if init is None else np.array(init, dtype=complex)
     for name, qubit, arg in gate_list(spec):
         if name == "cnot":
-            psi = circuits._apply_cnot(psi, n, qubit, arg)
+            psi = cnot(psi, n, qubit, arg)
             continue
         u = rotation(name, params[arg])
         psi = np.einsum("ab,ibj->iaj", u, psi.reshape(2**qubit, 2, -1)).reshape(-1)
@@ -192,10 +205,12 @@ def test_param_count_mismatch():
         apply_circuit(circuit, np.zeros(p), np.zeros(3))
 
 
-@pytest.mark.parametrize("kwargs", [{"reps": 0}, {"rotations": ()}, {"rotations": ("rx",)}])
+@pytest.mark.parametrize("kwargs", [{"reps": 0}, {"rotations": ()}, {"rotations": ("rx",)},
+                                    {"n_qubits": 0}, {"n_qubits": -1},
+                                    {"n_qubits": MAX_QUBITS + 1}])
 def test_ansatz_spec_rejects(kwargs):
     with pytest.raises(ShapeError):
-        AnsatzSpec(2, **kwargs)
+        AnsatzSpec(**{"n_qubits": 2, **kwargs})
 
 
 def assert_matches_oracles(spec, params, init=None):
@@ -317,7 +332,6 @@ def test_stack_memory_is_bounded_by_chunk():
     # 2,000 parameters: unchunked, the per-row slot matrices alone would take 256 MB
     circuit = efficient_su2_ansatz(AnsatzSpec(1, reps=999))
     stack = np.random.default_rng(10).uniform(-np.pi, np.pi, (2000, circuit.n_params))
-    apply_circuit(circuit, stack[:1])  # compile the plan outside the measurement
     tracemalloc.start()
     try:
         out = apply_circuit(circuit, stack)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -84,34 +85,6 @@ def test_parser_namespaces(argv, expected):
     assert vars(cli.build_parser().parse_args(argv)) == expected
 
 
-@pytest.mark.parametrize("argv", [["eoh", "--preset", "fig13", "--qubits", "6"],
-                                  ["exact", "--preset", "table1", "--seed", "3"],
-                                  ["vqe", "--preset", "table1", "--steps", "3"],
-                                  # no flag is taken by a prefix of its name
-                                  ["exact", "--preset", "table1", "--b", "3"],
-                                  ["vqe", "--preset", "table1", "--opt", "nelder-mead"]],
-                         ids=["eoh-qubits", "exact-seed", "vqe-steps", "exact-b", "vqe-opt"])
-def test_command_refuses_flags_it_does_not_read(tmp_path, capsys, argv):
-    out = tmp_path / "out"
-    assert run([*argv, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"config error: unrecognized arguments: {' '.join(argv[-2:])}")
-    assert len(err.splitlines()) == 1 and not out.exists()
-
-
-@pytest.mark.parametrize("argv, message", [
-    (["eoh", "--preset", "table1"], "eoh command requires an 'eoh' block or preset"),
-    (["eoh"], "eoh command requires an 'eoh' block or preset"),
-    (["exact"], "exact command requires a 'model' key or a model preset"),
-    (["vqe", "--preset", "fig13"], "vqe command requires a 'model' key or a model preset"),
-], ids=["preset-without-eoh", "no-config", "exact-no-model", "vqe-preset-without-model"])
-def test_eoh_requires_an_eoh_block(tmp_path, capsys, argv, message):
-    out = tmp_path / "out"
-    assert run([*argv, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"config error: {message}\n"
-    assert not out.exists()
-
-
 def test_config_file_merges_into_preset_blocks(tmp_path):
     # preset, then file, then flags: a file's block sets only the keys it names
     cfg = tmp_path / "c.json"
@@ -127,49 +100,6 @@ def test_config_file_merges_into_preset_blocks(tmp_path):
     params = cli._load_config(parser.parse_args(
         ["eoh", "--preset", "fig16", "--config", str(cfg)]))["eoh"]["params"]
     assert (params["Lambda"], params["k_curv"], params["v_volume"]) == (-1.0, -2.5, 1.0)
-
-
-@pytest.mark.parametrize("argv, message", [
-    (["vqe", "--preset", "table1", "--budget", "x"], "argument --budget: invalid int value: 'x'"),
-    (["frob"], "argument command: invalid choice: 'frob'"),
-    (["exact", "--preset", "table1", "--qubits", "4,x"], "argument --qubits: "),
-    (["reproduce", "tableX"], "argument table: invalid choice: 'tableX'"),
-    # an unknown argument's line break does not make a second line
-    (["exact", "--bogus", "a\nb"], "unrecognized arguments: --bogus a b"),
-], ids=["budget-x", "frob", "qubits-4-x", "reproduce-tableX", "line-break"])
-def test_argv_refusals_are_one_line(tmp_path, capsys, argv, message):
-    out = tmp_path / "out"
-    if argv[0] != "reproduce":
-        argv = [*argv, "--out", str(out)]
-    assert run(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"config error: {message}")
-    assert len(err.splitlines()) == 1 and not out.exists()
-
-
-@pytest.mark.parametrize("content", [
-    pytest.param(b"{not json", id="not-json"),
-    pytest.param(b"\xff\xfe{}", id="invalid-utf8"),
-    pytest.param(b'{"seed": ' + b"9" * 5000 + b"}", id="5000-digit-int"),
-    pytest.param(b"[" * 200_000, id="deep-nesting"),
-])
-def test_malformed_config_exits_2(tmp_path, capsys, content):
-    bad = tmp_path / "bad.json"
-    bad.write_bytes(content)
-    out = tmp_path / "out"
-    assert run(["exact", "--config", str(bad), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"config error: cannot read config {bad}: ")
-    assert len(err.splitlines()) == 1 and not out.exists()
-
-
-def test_unknown_keys_rejected(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    # tunneling is a removed block: no command read it
-    for extra in ({"mystery": 1}, {"tunneling": {}}):
-        cfg.write_text(json.dumps({"model": "starobinsky", "qubits": [2], **extra}))
-        assert run(["exact", "--config", str(cfg), "--out", str(tmp_path)]) == 2
-        assert f"unknown config keys: {list(extra)}" in capsys.readouterr().err
 
 
 def test_vqe_artifacts_and_budget_one(tmp_path):
@@ -259,6 +189,224 @@ def test_repeat_runs_write_identical_files(tmp_path, capsys, argv, config):
         assert all(abs(n - 1.0) <= 1e-9 for n in read_json(a / "eoh.json")["norm"])
 
 
+LIMIT = models.MAX_QUBITS
+STARO = {"model": "starobinsky", "qubits": [2]}
+DM1_8Q = {"model": "dark_matter_1", "qubits": [4, 4]}  # 16 * (reps + 1) ansatz parameters
+
+# Every input the CLI refuses, as (argv, config, exit code, message): 2 for a
+# config error, 1 for a numerical failure. A config dict or raw bytes is written
+# to a file and passed as --config; `refuse` adds --out and checks the contract.
+# A message that quotes Python's own error text gives only its stable start.
+REFUSALS = {
+    # argv: each command takes only the flags it reads, under their full names
+    "eoh-qubits": (["eoh", "--preset", "fig13", "--qubits", "6"], None, 2,
+                   "unrecognized arguments: --qubits 6"),
+    "exact-seed": (["exact", "--preset", "table1", "--seed", "3"], None, 2,
+                   "unrecognized arguments: --seed 3"),
+    "vqe-steps": (["vqe", "--preset", "table1", "--steps", "3"], None, 2,
+                  "unrecognized arguments: --steps 3"),
+    "exact-b": (["exact", "--preset", "table1", "--b", "3"], None, 2,
+                "unrecognized arguments: --b 3"),
+    "vqe-opt": (["vqe", "--preset", "table1", "--opt", "nelder-mead"], None, 2,
+                "unrecognized arguments: --opt nelder-mead"),
+    # an unknown argument's line break does not make a second line
+    "line-break": (["exact", "--bogus", "a\nb"], None, 2, "unrecognized arguments: --bogus a b"),
+    "budget-x": (["vqe", "--preset", "table1", "--budget", "x"], None, 2,
+                 "argument --budget: invalid int value: 'x'"),
+    "frob": (["frob"], None, 2, "argument command: invalid choice: 'frob'"),
+    "reproduce-tableX": (["reproduce", "tableX"], None, 2,
+                         "argument table: invalid choice: 'tableX'"),
+    "qubits-4-x": (["exact", "--preset", "table1", "--qubits", "4,x"], None, 2,
+                   "argument --qubits: expected qubit counts such as 4 or 4,4, not '4,x'"),
+    "optimizer-cobyla-flag": (["vqe", "--preset", "table1", "--optimizer", "cobyla"], None, 2,
+                              "config.vqe.optimizer must be one of ['nelder-mead', "
+                              "'gradient-descent'], not 'cobyla'"),
+    "table5-basis-fd": (["exact", "--preset", "table5", "--basis", "fd"], None, 2,
+                        "config.basis must be 'oscillator' or 'position' for dark_matter_2, "
+                        "not 'fd'"),
+    # a run that lacks what its command needs
+    "preset-without-eoh": (["eoh", "--preset", "table1"], None, 2,
+                           "eoh command requires an 'eoh' block or preset"),
+    "no-config": (["eoh"], None, 2, "eoh command requires an 'eoh' block or preset"),
+    "exact-no-model": (["exact"], None, 2,
+                       "exact command requires a 'model' key or a model preset"),
+    "vqe-preset-without-model": (["vqe", "--preset", "fig13"], None, 2,
+                                 "vqe command requires a 'model' key or a model preset"),
+    # a config file that is not a JSON object Python can read
+    "not-json": (["exact"], b"{not json", 2, "cannot read config cfg.json: "),
+    "invalid-utf8": (["exact"], b"\xff\xfe{}", 2, "cannot read config cfg.json: "),
+    "5000-digit-int": (["exact"], b'{"seed": ' + b"9" * 5000 + b"}", 2,
+                       "cannot read config cfg.json: "),
+    "deep-nesting": (["exact"], b"[" * 200_000, 2, "cannot read config cfg.json: "),
+    # keys the schema does not hold; tunneling is a removed block that no command read
+    "mystery-key": (["exact"], {**STARO, "mystery": 1}, 2, "unknown config keys: ['mystery']"),
+    "tunneling-key": (["exact"], {**STARO, "tunneling": {}}, 2,
+                      "unknown config keys: ['tunneling']"),
+    "out-key": (["exact"], {**STARO, "out": "elsewhere"}, 2, "unknown config keys: ['out']"),
+    "seed-key": (["exact"], {**STARO, "seed": 1}, 2, "unknown config keys: ['seed']"),
+    "eoh-params-kind": (["eoh"], {"eoh": {"kind": "double-well", "params": {"kind": "morse-s2"}}},
+                        2, "unknown config.eoh.params keys: ['kind']"),
+    # a value of the wrong type or outside the range README states
+    "budget-str": (["vqe"], {**STARO, "vqe": {"budget": "abc"}}, 2,
+                   "config.vqe.budget must be an integer >= 1, not 'abc'"),
+    "param-str": (["exact"], {**STARO, "params": {"M1_4": "x"}}, 2,
+                  "starobinsky params.M1_4 must be a finite number, not 'x'"),
+    "reps-0": (["vqe"], {**STARO, "vqe": {"reps": 0}}, 2,
+               "config.vqe.reps must be an integer >= 1, not 0"),
+    "seed-minus-1": (["vqe"], {**STARO, "vqe": {"seed": -1}}, 2,
+                     "config.vqe.seed must be an integer >= 0, not -1"),
+    # JSON reads 1e999 as inf
+    "tol-1e999": (["vqe"], b'{"model": "starobinsky", "qubits": [2], "vqe": {"tol": 1e999}}', 2,
+                  "config.vqe.tol must be a finite number, not inf"),
+    "optimizer-cobyla": (["vqe"], {**STARO, "vqe": {"optimizer": "cobyla"}}, 2,
+                         "config.vqe.optimizer must be one of ['nelder-mead', 'gradient-descent'], "
+                         "not 'cobyla'"),
+    "rotations-str": (["vqe"], {**STARO, "vqe": {"rotations": "ry"}}, 2,
+                      "config.vqe.rotations must be a list, not 'ry'"),
+    "rotations-empty": (["vqe"], {**STARO, "vqe": {"rotations": []}}, 2,
+                        "config.vqe.rotations must be a non-empty list, not []"),
+    # the same check on a preset's vqe block that the config file merges into
+    "rotations-empty-preset": (["vqe", "--preset", "table1"], {"vqe": {"rotations": []}}, 2,
+                               "config.vqe.rotations must be a non-empty list, not []"),
+    "rotations-rx": (["vqe"], {**STARO, "vqe": {"rotations": ["rx"]}}, 2,
+                     "config.vqe.rotations[0] must be one of ['ry', 'rz'], not 'rx'"),
+    "basis-bogus": (["exact"], {**STARO, "basis": "bogus"}, 2,
+                    "config.basis must be one of ['oscillator', 'position', 'fd'], not 'bogus'"),
+    "dark-matter-2-fd": (["exact"], {"model": "dark_matter_2", "qubits": [1, 1], "basis": "fd"}, 2,
+                         "config.basis must be 'oscillator' or 'position' for dark_matter_2, "
+                         "not 'fd'"),
+    "qubit-bool": (["exact"], {"model": "starobinsky", "qubits": [True]}, 2,
+                   f"config.qubits[0] must be an integer >= 1 and <= {LIMIT}, not True"),
+    "qubits-over-limit": (["exact"], {"model": "starobinsky", "qubits": [LIMIT + 1]}, 2,
+                          f"config.qubits[0] must be an integer >= 1 and <= {LIMIT}, "
+                          f"not {LIMIT + 1}"),
+    "modes-over-limit": (["exact"], {"model": "dark_matter_1", "qubits": [LIMIT // 2 + 1] * 2}, 2,
+                         f"dark_matter_1 on qubits {[LIMIT // 2 + 1] * 2} exceeds the limit of "
+                         f"{LIMIT} qubits in total"),
+    "starobinsky-2-modes": (["exact"], {"model": "starobinsky", "qubits": [2, 2]}, 2,
+                            "starobinsky takes 1 equal qubit count(s), not [2, 2]"),
+    # reps 127 is the largest (test_limits_accept_their_boundary)
+    "reps-128": (["vqe"], {**DM1_8Q, "vqe": {"reps": 128}}, 2,
+                 "config.vqe.reps 128 gives 2064 ansatz parameters on 8 qubits, "
+                 "over the limit of 2048"),
+    "params-over-limit": (["vqe"], {**DM1_8Q, "vqe": {"reps": 1000}}, 2,
+                          "config.vqe.reps 1000 gives 16016 ansatz parameters on 8 qubits, "
+                          "over the limit of 2048"),
+    "steps-0": (["eoh"], {"eoh": {"steps": 0}}, 2,
+                "config.eoh.steps must be an integer >= 1, not 0"),
+    "order-3": (["eoh"], {"eoh": {"order": 3}}, 2, "config.eoh.order must be one of [1, 2], not 3"),
+    "n_qubits-str": (["eoh"], {"eoh": {"n_qubits": "a"}}, 2,
+                     f"config.eoh.n_qubits must be an integer >= 1 and <= {LIMIT}, not 'a'"),
+    "n_qubits-over-limit": (["eoh"], {"eoh": {"n_qubits": LIMIT + 1}}, 2,
+                            f"config.eoh.n_qubits must be an integer >= 1 and <= {LIMIT}, "
+                            f"not {LIMIT + 1}"),
+    "x0-index-8": (["eoh"], {"eoh": {"n_qubits": 3, "x0_index": 8}}, 2,
+                   "config.eoh.x0_index must be an integer >= 0 and <= 7, not 8"),
+    "tau-list-str": (["eoh"], {"eoh": {"tau_list": [0.0, "a"]}}, 2,
+                     "config.eoh.tau_list[1] must be a finite number, not 'a'"),
+    # 1024 times is the largest (test_limits_accept_their_boundary)
+    "taus-1025": (["eoh"], {"eoh": {"tau_list": [0.0] * 1025}}, 2,
+                  "config.eoh.tau_list has 1025 times, over the limit of 1024"),
+    # numerical failures, found once the output directory is made
+    "param-nan": (["exact"], {**STARO, "params": {"M2": 0}}, 1, "matrix has non-finite entries"),
+    "param-zero-division": (["exact"], {"model": "dark_matter_1", "qubits": [1, 1],
+                                        "params": {"a_scale": 0}}, 1, "float division by zero"),
+    "gaussian-width-0": (["eoh"], {"eoh": {"kind": "double-well", "n_qubits": 3, "width": 0.0}}, 1,
+                         "Gaussian with center -1.5 and width 0.0 has norm 0.0 on the grid"),
+    "gaussian-off-grid": (["eoh"], {"eoh": {"kind": "double-well", "n_qubits": 3, "center": 1e3}},
+                          1, "Gaussian with center 1000.0 and width 0.35 has norm 0.0 on the grid"),
+    "tau-overflow": (["eoh"], {"eoh": {"n_qubits": 3, "tau_list": [1e308]}}, 1,
+                     "phase max|w t| = inf at t = 1e+308 is above 1e+12"),
+    # phases |w tau| of 3e302 and 3e301 rad: finite, but rounding moves them by many turns
+    "phase-lambda-1e300": (["eoh"], {"eoh": {"kind": "double-well", "n_qubits": 3,
+                                             "params": {"Lambda": 1e300}}}, 1,
+                           "phase max|w t| = 2.96e+302 at t = 0.1 is above 1e+12"),
+    "phase-tau-1e300": (["eoh"], {"eoh": {"tau_list": [-1e300]}}, 1,
+                        "phase max|w t| = 1.6e+301 at t = -1e+300 is above 1e+12"),
+}
+
+# the solvers a config error must come before
+_SOLVERS = [(models, "build_model"), (vqe, "run_vqe"), (evolution, "interval_propagation_profile"),
+            (evolution, "double_well_eoh")]
+
+
+def _unreachable(*args, **kwargs):
+    raise AssertionError("a config error must be raised before any solver runs")
+
+
+def refuse(tmp_path, argv, config, code, message, *, out="out", built=False):
+    """Run ``argv`` in ``tmp_path``, assert the CLI's refusal contract and return its line.
+
+    The refusal exits ``code`` with one stderr line, its kind's prefix then
+    ``message``, and no traceback or warning. A config error (exit 2) leaves
+    ``tmp_path`` as it found it, so the ``--out`` path is not made, and runs no
+    solver unless ``built``.
+    """
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        mp.chdir(tmp_path)
+        if config is not None:
+            raw = config if isinstance(config, bytes) else json.dumps(config).encode()
+            Path("cfg.json").write_bytes(raw)
+            argv = [*argv, "--config", "cfg.json"]
+        if out is not None and argv[0] != "reproduce":
+            argv = [*argv, "--out", out]
+        if code == 2 and not built:
+            for module, name in _SOLVERS:
+                mp.setattr(module, name, _unreachable)
+        before = sorted(tmp_path.rglob("*"))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            assert run(argv) == code, err.getvalue()
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and "Traceback" not in lines[0], lines
+    prefix = {1: "numerical failure: ", 2: "config error: "}[code]
+    assert lines[0].startswith(prefix + message), lines[0]
+    # outside pytest a warning would print more lines to stderr
+    assert [str(w.message) for w in caught] == []
+    if code == 2:
+        assert sorted(tmp_path.rglob("*")) == before
+    return lines[0]
+
+
+@pytest.mark.parametrize("argv, config, code, message", REFUSALS.values(), ids=REFUSALS)
+def test_refusals(tmp_path, argv, config, code, message):
+    refuse(tmp_path, argv, config, code, message)
+
+
+def test_limits_accept_their_boundary():
+    assert config.check_run({**DM1_8Q, "vqe": {"reps": 127}})["vqe"]["reps"] == 127
+    assert len(config.check_run({"eoh": {"tau_list": [0.0] * 1024}})["eoh"]["tau_list"]) == 1024
+
+
+@pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
+@pytest.mark.parametrize("below", ["", "/x"], ids=["file", "below-file"])
+@pytest.mark.parametrize("command, preset", [("exact", "table1"), ("vqe", "table1"),
+                                             ("eoh", "fig13")])
+def test_out_naming_a_file_is_refused(tmp_path, monkeypatch, command, preset, below, via_env):
+    (tmp_path / "a-file").write_text("")
+    out = "a-file" + below
+    if via_env:
+        monkeypatch.setenv("QCOSMO_OUT", out)
+    refuse(tmp_path, [command, "--preset", preset], None, 2,
+           f"cannot use output directory {out}: ", out=None if via_env else out)
+
+
+def test_reproduce_unknown_id_names_every_table(tmp_path):
+    line = refuse(tmp_path, ["reproduce", "table0"], None, 2,
+                  "argument table: invalid choice: 'table0'")
+    assert all(t in line for t in presets.REPRODUCE_TABLES)
+
+
+def test_reproduce_unknown_quantity_is_refused(tmp_path, monkeypatch):
+    # a quantity is looked up in its preset's summary, so the model is built first
+    table = {"provisional": False,
+             "rows": [{"preset": "table1", "quantity": "bogus", "reference": 1.0}]}
+    monkeypatch.setitem(presets.REPRODUCE_TABLES, "tableX", table)
+    refuse(tmp_path, ["reproduce", "tableX"], None, 2, "unknown reproduce quantity 'bogus'",
+           built=True)
+
+
 def test_eoh_fig13(tmp_path):
     assert run(["eoh", "--preset", "fig13", "--out", str(tmp_path)]) == 0
     rows = (tmp_path / "eoh_profile.csv").read_text().splitlines()
@@ -330,14 +478,6 @@ def test_reproduce_tunneling(capsys):
     assert "S_E_over_4" in out and "1534.44" in out
 
 
-def test_reproduce_unknown_id(capsys):
-    assert run(["reproduce", "tableX"]) == 2
-    err = capsys.readouterr().err
-    # one line that lists every known table id
-    assert len(err.splitlines()) == 1
-    assert all(t in err for t in presets.REPRODUCE_TABLES)
-
-
 def test_reproduce_builds_each_preset_once(monkeypatch, capsys):
     calls = []
     build = models.build_model
@@ -347,95 +487,10 @@ def test_reproduce_builds_each_preset_once(monkeypatch, capsys):
     assert capsys.readouterr().out.count("table4-") == 6
 
 
-def test_reproduce_unknown_quantity(monkeypatch, capsys):
-    table = {"provisional": False,
-             "rows": [{"preset": "table1", "quantity": "bogus", "reference": 1.0}]}
-    monkeypatch.setitem(presets.REPRODUCE_TABLES, "tableX", table)
-    assert run(["reproduce", "tableX"]) == 2
-    assert "unknown reproduce quantity 'bogus'" in capsys.readouterr().err
-
-
-def test_removed_optimizer_names_key(tmp_path, capsys):
-    argv = ["vqe", "--preset", "table1", "--optimizer", "cobyla", "--out", str(tmp_path)]
-    assert run(argv) == 2
-    err = capsys.readouterr().err.strip()
-    assert err.startswith("config error: config.vqe.optimizer must be one of")
-    assert len(err.splitlines()) == 1 and not (tmp_path / "vqe.json").exists()
-
-
-def test_dark_matter_2_fd_names_basis_before_building(tmp_path, capsys, monkeypatch):
-    def unreachable(config):
-        raise AssertionError("the config check should refuse the basis first")
-
-    monkeypatch.setattr(models, "build_model", unreachable)
-    assert run(["exact", "--preset", "table5", "--basis", "fd", "--out", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: config.basis") and len(err.splitlines()) == 1
-
-
-def test_params_over_limit_names_reps_before_building(tmp_path, capsys, monkeypatch):
-    # 8 qubits and two rotation kinds give 16 * (reps + 1) parameters: reps 127 is the largest
-    base = {"model": "dark_matter_1", "qubits": [4, 4]}
-    assert config.check_run({**base, "vqe": {"reps": 127}})["vqe"]["reps"] == 127
-
-    def unreachable(spec):
-        raise AssertionError("the config check should refuse the ansatz first")
-
-    monkeypatch.setattr(vqe, "efficient_su2_ansatz", unreachable)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({**base, "vqe": {"reps": 128}}))
-    assert run(["vqe", "--config", str(cfg), "--out", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: config.vqe.reps 128 gives 2064") and len(err.splitlines()) == 1
-
-
-def test_tau_list_over_limit_names_key_before_building(tmp_path, capsys, monkeypatch):
-    taus = [0.0] * 1024
-    assert len(config.check_run({"eoh": {"tau_list": taus}})["eoh"]["tau_list"]) == 1024
-
-    def unreachable(*args, **kwargs):
-        raise AssertionError("the config check should refuse the tau list first")
-
-    monkeypatch.setattr(evolution, "interval_propagation_profile", unreachable)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"eoh": {"tau_list": taus + [0.0]}}))
-    out = tmp_path / "out"
-    assert run(["eoh", "--config", str(cfg), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: config.eoh.tau_list has 1025 times")
-    assert len(err.splitlines()) == 1 and not out.exists()
-
-
 def test_env_var_out_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("QCOSMO_OUT", str(tmp_path / "envout"))
     assert run(["exact", "--preset", "table1"]) == 0
     assert (tmp_path / "envout" / "exact.json").exists()
-
-
-@pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
-@pytest.mark.parametrize("below", ["", "x"], ids=["file", "below-file"])
-@pytest.mark.parametrize("command, preset", [("exact", "table1"), ("vqe", "table1"),
-                                             ("eoh", "fig13")])
-def test_out_naming_a_file_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
-                                                   command, preset, below, via_env):
-    def unreachable(*args, **kwargs):
-        raise AssertionError("the output directory should be refused first")
-
-    for module, name in ((models, "build_model"), (vqe, "run_vqe"),
-                         (evolution, "interval_propagation_profile")):
-        monkeypatch.setattr(module, name, unreachable)
-    target = tmp_path / "a-file"
-    target.write_text("")
-    out = target / below if below else target
-    argv = [command, "--preset", preset]
-    if via_env:
-        monkeypatch.setenv("QCOSMO_OUT", str(out))
-    else:
-        argv += ["--out", str(out)]
-    assert run(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"config error: cannot use output directory {out}: ")
-    assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 def test_qubit_and_basis_overrides(tmp_path):
@@ -456,67 +511,6 @@ def test_qubit_and_basis_overrides(tmp_path):
     payload = read_json(tmp_path / "exact.json")
     assert payload["dim"] == 32
     assert payload["exact_ground"] == pytest.approx(0.00285585, rel=1e-5)
-
-
-LIMIT = models.MAX_QUBITS
-STARO = {"model": "starobinsky", "qubits": [2]}
-
-
-@pytest.mark.parametrize(
-    "command, config, code",
-    [
-        pytest.param("vqe", {**STARO, "vqe": {"budget": "abc"}}, 2, id="budget-str"),
-        pytest.param("exact", {**STARO, "params": {"M1_4": "x"}}, 2, id="param-str"),
-        pytest.param("exact", {**STARO, "params": {"M2": 0}}, 1, id="param-nan"),
-        pytest.param("exact", {"model": "dark_matter_1", "qubits": [1, 1],
-                               "params": {"a_scale": 0}}, 1, id="param-zero-division"),
-        pytest.param("vqe", {**STARO, "vqe": {"reps": 0}}, 2, id="reps-0"),
-        pytest.param("vqe", {"model": "dark_matter_1", "qubits": [4, 4], "vqe": {"reps": 1000}}, 2,
-                     id="params-over-limit"),
-        pytest.param("vqe", {**STARO, "vqe": {"optimizer": "cobyla"}}, 2, id="optimizer-cobyla"),
-        pytest.param("eoh", {"eoh": {"steps": 0}}, 2, id="steps-0"),
-        pytest.param("exact", {"model": "starobinsky", "qubits": [True]}, 2, id="qubit-bool"),
-        pytest.param("exact", {"model": "dark_matter_2", "qubits": [1, 1], "basis": "fd"}, 2,
-                     id="dark-matter-2-fd"),
-        pytest.param("eoh", {"eoh": {"n_qubits": "a"}}, 2, id="n_qubits-str"),
-        pytest.param("vqe", {**STARO, "vqe": {"rotations": "ry"}}, 2, id="rotations-str"),
-        pytest.param("vqe", {**STARO, "vqe": {"rotations": []}}, 2, id="rotations-empty"),
-        pytest.param("eoh", {"eoh": {"kind": "double-well", "n_qubits": 3, "width": 0.0}}, 1,
-                     id="gaussian-width-0"),
-        pytest.param("eoh", {"eoh": {"kind": "double-well", "n_qubits": 3, "center": 1e3}}, 1,
-                     id="gaussian-off-grid"),
-        pytest.param("exact", {"model": "starobinsky", "qubits": [LIMIT + 1]}, 2,
-                     id="qubits-over-limit"),
-        pytest.param("exact", {"model": "dark_matter_1", "qubits": [LIMIT // 2 + 1] * 2}, 2,
-                     id="modes-over-limit"),
-        pytest.param("eoh", {"eoh": {"n_qubits": LIMIT + 1}}, 2, id="n_qubits-over-limit"),
-        pytest.param("exact", {**STARO, "out": "elsewhere"}, 2, id="out-key"),
-        pytest.param("exact", {**STARO, "seed": 1}, 2, id="seed-key"),
-        pytest.param("eoh", {"eoh": {"kind": "double-well", "params": {"kind": "morse-s2"}}},
-                     2, id="eoh-params-kind"),
-        pytest.param("eoh", {"eoh": {"n_qubits": 3, "tau_list": [1e308]}}, 1, id="tau-overflow"),
-        # phases |w tau| of 3e302 and 3e301 rad: finite, but rounding moves them by many turns
-        pytest.param("eoh", {"eoh": {"kind": "double-well", "n_qubits": 3,
-                                     "params": {"Lambda": 1e300}}}, 1, id="phase-lambda-1e300"),
-        pytest.param("eoh", {"eoh": {"tau_list": [-1e300]}}, 1, id="phase-tau-1e300"),
-    ],
-)
-def test_exit_codes(tmp_path, capsys, recwarn, command, config, code):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(config))
-    assert run([command, "--config", str(cfg), "--out", str(tmp_path)]) == code
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert len(err.strip().splitlines()) == 1
-    # outside pytest a warning would print more lines to stderr
-    assert [str(w.message) for w in recwarn] == []
-
-
-def test_empty_rotations_message_names_key(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({**STARO, "vqe": {"rotations": []}}))
-    assert run(["vqe", "--config", str(cfg), "--out", str(tmp_path)]) == 2
-    assert "config.vqe.rotations" in capsys.readouterr().err
 
 
 # the qcosmo modules that `import qcosmo.cli` loads, then the solvers each command adds
