@@ -125,14 +125,15 @@ def _model_config(run: dict) -> dict:
     return {k: run[k] for k in models.MODEL_SCHEMA}
 
 
+# the keys of _exact_summary: the quantities a reproduce row of a model preset can name
+SUMMARY_KEYS = ("exact_ground", "pauli_terms", "dim")
+
+
 def _exact_summary(h: np.ndarray) -> dict:
     """The exact ground, Pauli term count and dimension of a built Hamiltonian."""
     from . import pauli, vqe
-    return {
-        "exact_ground": vqe.exact_ground(h),
-        "pauli_terms": len(pauli.decompose(h)),
-        "dim": h.shape[0],
-    }
+    return dict(zip(SUMMARY_KEYS, (vqe.exact_ground(h), len(pauli.decompose(h)), h.shape[0]),
+                    strict=True))
 
 
 def cmd_exact(args) -> int:
@@ -222,6 +223,15 @@ def cmd_eoh(args) -> int:
 def cmd_reproduce(args) -> int:
     table_id = args.table
     spec = presets.REPRODUCE_TABLES[table_id]
+    # every row's quantity is checked before any model is built
+    for row in spec["rows"]:
+        if row["preset"] == "tunneling":
+            from . import tunneling
+            known = tunneling.REPORT_KEYS
+        else:
+            known = SUMMARY_KEYS
+        if row["quantity"] not in known:
+            raise ConfigError(f"unknown reproduce quantity {row['quantity']!r}")
     results: dict[str, dict] = {}  # per preset: its exact summary or tunneling report
     rows_out = []
     for row in spec["rows"]:
@@ -230,14 +240,11 @@ def cmd_reproduce(args) -> int:
             # "tunneling" is a row label, not a preset: the report of the default
             # dark_energy_1r potential, its minimum sought from phi = 5.0
             if preset == "tunneling":
-                from . import tunneling
                 potential = models.dark_energy_potential(models.DarkEnergySingleRadiusParams())
                 results[preset] = tunneling.report(potential, 5.0)
             else:
                 run = config.check_run(presets.get_preset(preset))
                 results[preset] = _exact_summary(models.build_model(_model_config(run))[0])
-        if quantity not in results[preset]:
-            raise ConfigError(f"unknown reproduce quantity {quantity!r}")
         computed = results[preset][quantity]
         ref = row["reference"]
         abs_err = abs(computed - ref)

@@ -121,20 +121,17 @@ def lifetime_log10(s_e: float) -> LifetimeEstimate:
     )
 
 
+# the keys of report(), in its order
+REPORT_KEYS = ("phi_min", "V_min", "M_sq", "delta", "S_E", "S_E_over_4", "log10_lifetime_planck",
+               "lifetime_mantissa", "lifetime_exponent", "log10_lifetime_years")
+
+
 def report(v, guess: float) -> dict:
     """Full pipeline on one potential: expansion, action, lifetime, as JSON-ready dict."""
     exp = expand_about_minimum(v, guess)
     s_e = tunneling_action(exp)
     life = lifetime_log10(s_e)
-    return {
-        "phi_min": exp.phi_min,
-        "V_min": exp.V_min,
-        "M_sq": exp.M_sq,
-        "delta": exp.delta,
-        "S_E": s_e,
-        "S_E_over_4": s_e / 4.0,
-        "log10_lifetime_planck": life.log10_planck_times,
-        "lifetime_mantissa": life.mantissa,
-        "lifetime_exponent": life.exponent,
-        "log10_lifetime_years": life.log10_years,
-    }
+    return dict(zip(REPORT_KEYS, (
+        exp.phi_min, exp.V_min, exp.M_sq, exp.delta, s_e, s_e / 4.0,
+        life.log10_planck_times, life.mantissa, life.exponent, life.log10_years,
+    ), strict=True))

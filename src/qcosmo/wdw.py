@@ -2,53 +2,97 @@
 kernels, fifth-time Green's functions, Bogoliubov coefficients, and
 zero-energy ODE solutions.
 
-The modified Bessel functions are evaluated from their cosh integral
-representations by adaptive quadrature (imaginary order has no standard
-library implementation). The flat-space Green's function is the proper-time
-integral of the free kernel, taken along a slightly tilted contour; the
-integral is transformed exactly to its phase variable, where the tilt
-becomes a smooth damping factor, and the small tilt bias is removed by
-extrapolation.
+Every quadrature here is the plain trapezoid rule on the whole real line,
+one vectorised numpy sum. Each integrand is analytic in a strip |Im t| < a
+about the real axis and negligible at both ends of the summed range, and
+there the rule's error falls like exp(-2 pi a / h) in the step h
+(Trefethen & Weideman, SIAM Review 56, 2014), so no adaptive refinement is
+needed.
+
+- The modified Bessel functions K0(x) and K_{i nu}(x) (imaginary order has
+  no standard library implementation) come from their cosh integrals
+  exp(-x cosh t) cos(nu t), whose strip is |Im t| < pi/2. The sum runs
+  over |t| <= arccosh(1 + 40/x), where the integrand is below e^-40 of its
+  peak, with the step min(0.1, 2 pi / (|nu| + 4 pi sqrt(x)),
+  pi^2 / (40 + pi |nu|)). K0 is then good to about 1e-15 relative, and
+  K_{i nu} to about 1e-14 K0(x) for |nu| <= MAX_NU, the bound that keeps
+  the sum under 54,000 nodes.
+- The flat-space Green's function is the proper-time integral of the free
+  kernel, taken along a contour tilted by eps. Transformed exactly to its
+  phase variable theta, the tilt becomes a smooth damping factor.
+  Spacelike, theta = m sinh s with s rotated by i pi/2 (the arc at
+  infinity vanishes because eps > 0) turns the oscillatory integral into
+  2 int_0^inf exp(-m cosh s) cos(eps m sinh s) ds, the cosh integral with
+  one more cosine; it equals 2 K0(m sqrt(1 + eps^2)) for every eps.
+  Timelike, theta = m + u^2 with u = e^{-i pi/4} w gives a Gaussian decay
+  in w, and w = e^s makes the integrand decay at both ends, analytic for
+  |Im s| < pi/4, so one complex sum gives both parts. Evaluations at
+  eps and eps/2 are extrapolated to zero tilt.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError, DomainTruncationError, NonConvergenceError, ShapeError
 from .models import MinisuperspaceKind, MinisuperspaceParams, minisuperspace_v_eff
+
+# |nu| <= MAX_NU keeps the K_{i nu} sum under 54,000 nodes for every finite x > 0
+MAX_NU = 100.0
+
+
+def _trapezoid(f, lo: float, hi: float, h: float):
+    """h * sum of f(k h) over the integers k with lo <= k h <= hi.
+
+    The trapezoid rule over the real line for an integrand ``f`` (a numpy
+    ufunc expression) that is negligible outside [lo, hi]; the nodes sit on
+    the lattice h Z, so a symmetric range gives symmetric nodes.
+    """
+    k = np.arange(math.ceil(lo / h), math.floor(hi / h) + 1)
+    return h * np.sum(f(h * k))
 
 
 # ---------------------------------------------------------------------------
 # modified Bessel functions by quadrature
 
-def _damped_cosh(x: float, t: float) -> float:
-    """exp(-x cosh t) without overflow warnings in the dead tail."""
-    if t > 50.0:  # cosh(50) ~ 2.6e21: the integrand is identically 0 here
-        return 0.0
-    e = x * np.cosh(t)
-    return np.exp(-e) if e < 745.0 else 0.0
+def _cosh_integral(x: float, nu: float = 0.0, eps: float = 0.0) -> float:
+    """The integral over the real line of exp(-x cosh t) cos(nu t) cos(eps x sinh t)."""
+    r = math.sqrt(x)
+    t_max = 2.0 * math.asinh(math.sqrt(20.0) / r)  # x cosh t_max = x + 40
+    h = min(0.1, 2.0 * math.pi / (abs(nu) + 4.0 * math.pi * r),
+            math.pi**2 / (40.0 + math.pi * abs(nu)))
+
+    # x cosh t = x + 2u^2 and x sinh t = 2uv: exp(-x) comes out exactly, no digits are
+    # lost to cancellation, and nothing overflows for any finite x > 0 and |t| <= t_max
+    def f(t):
+        u, v = r * np.sinh(t / 2.0), r * np.cosh(t / 2.0)
+        return np.exp(-2.0 * u * u) * np.cos(nu * t) * np.cos(2.0 * eps * u * v)
+    return math.exp(-x) * float(_trapezoid(f, -t_max, t_max, h))
+
+
+def _check_x(x: float, name: str) -> None:
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"{name} requires finite x > 0, got {x}")
 
 
 def bessel_k0(x: float) -> float:
-    """K0(x) = integral_0^inf exp(-x cosh t) dt, for x > 0."""
-    if x <= 0:
-        raise DomainError(f"K0 requires x > 0, got {x}")
-    val, _ = quad(lambda t: _damped_cosh(x, t), 0.0, np.inf,
-                  epsabs=0.0, epsrel=1e-11, limit=200)
-    return val
+    """K0(x) = integral_0^inf exp(-x cosh t) dt, for finite x > 0."""
+    _check_x(x, "K0")
+    return 0.5 * _cosh_integral(x)
 
 
 def bessel_k_imag_order(nu: float, x: float) -> float:
-    """K_{i nu}(x) = integral_0^inf exp(-x cosh t) cos(nu t) dt; real valued."""
-    if x <= 0:
-        raise DomainError(f"K_inu requires x > 0, got {x}")
-    val, _ = quad(lambda t: _damped_cosh(x, t) * np.cos(nu * t), 0.0, np.inf,
-                  epsabs=1e-14, epsrel=1e-11, limit=400)
-    return val
+    """K_{i nu}(x) = integral_0^inf exp(-x cosh t) cos(nu t) dt; real valued.
+
+    Takes finite x > 0 and |nu| <= MAX_NU.
+    """
+    _check_x(x, "K_inu")
+    if not abs(nu) <= MAX_NU:
+        raise DomainError(f"K_inu requires |nu| <= {MAX_NU}, got {nu}")
+    return 0.5 * _cosh_integral(x, nu)
 
 
 # ---------------------------------------------------------------------------
@@ -57,25 +101,25 @@ def bessel_k_imag_order(nu: float, x: float) -> float:
 def _greens_tilted(sigma_sq: float, lam: float, eps: float) -> complex:
     """One tilted-contour evaluation of (1/4pi) * I(eps); see module docstring."""
     m_sq = lam * abs(sigma_sq) / (1.0 + eps**2)
-    m = np.sqrt(m_sq)
+    m = math.sqrt(m_sq)
     if m < 1e-12:
         raise NonConvergenceError("lightcone singularity: X^2 = T^2")
     if sigma_sq > 0:
-        # I = 2 * int_0^inf cos(theta) exp(-eps S)/S dtheta, S = sqrt(theta^2 + m^2)
-        def g(theta):
-            s = np.hypot(theta, m)
-            return np.exp(-eps * s) / s
-        val, _ = quad(g, 0.0, np.inf, weight="cos", wvar=1.0,
-                      epsabs=1e-12, limit=400, limlst=300)
-        return complex(2.0 * val / (4.0 * np.pi))
-    # timelike branch: theta runs from m upward; substitute theta = m + u^2 and
-    # rotate u by -pi/4, after which the integrand decays like a Gaussian
-    def f(w):
-        return np.exp(-(1.0 - 1j * eps) * m * w**2) / np.sqrt(2.0 * m - 1j * m * w**2)
-    re, _ = quad(lambda w: f(w).real, 0.0, np.inf, epsabs=1e-13, epsrel=1e-11, limit=400)
-    im, _ = quad(lambda w: f(w).imag, 0.0, np.inf, epsabs=1e-13, epsrel=1e-11, limit=400)
-    i_val = 4.0 * np.exp(-1j * (m + np.pi / 4.0)) * np.sqrt(m) * (re + 1j * im)
-    return i_val / (4.0 * np.pi)
+        # I = 2 int_0^inf cos(theta) exp(-eps S)/S dtheta, S = sqrt(theta^2 + m^2),
+        # on the rotated contour: the even line integral of exp(-m cosh s) cos(eps m sinh s)
+        return complex(_cosh_integral(m, eps=eps) / (4.0 * np.pi))
+
+    # timelike branch: theta runs from m upward; theta = m + u^2 with u rotated by
+    # -pi/4 and then u = e^s. The integrand is below e^-40 of its size outside
+    # [lo, hi]: it falls like e^s below and like exp(-m e^{2s}) above. Its strip
+    # |Im s| < pi/4 makes the step 0.1 good to about exp(-pi^2 / 0.2) = e^-49.
+    def g(s):
+        w2 = np.exp(2.0 * s)
+        return np.exp(s - (1.0 - 1j * eps) * m * w2) / np.sqrt(2.0 - 1j * w2)
+    lo = -40.0 - 0.5 * max(0.0, math.log(m))
+    hi = 0.5 * math.log(40.0 / m) + 1.0
+    i_val = 4.0 * np.exp(-1j * (m + np.pi / 4.0)) * _trapezoid(g, lo, hi, 0.1)
+    return complex(i_val / (4.0 * np.pi))
 
 
 def flat_greens_quadrature(T: float, X: float, Lambda: float, eps: float = 1e-3) -> complex:
@@ -92,7 +136,9 @@ def flat_greens_quadrature(T: float, X: float, Lambda: float, eps: float = 1e-3)
         raise DomainError("eps must lie in (0, 0.1]")
     if Lambda <= 0:
         raise DomainError("Lambda must be positive")
-    sigma_sq = X**2 - T**2
+    sigma_sq = (X - T) * (X + T)  # X^2 - T^2 without an overflow of either square
+    if not math.isfinite(Lambda * sigma_sq):
+        raise DomainError("Lambda (X^2 - T^2) must be finite")
     if sigma_sq == 0.0:
         raise NonConvergenceError("lightcone singularity: X^2 = T^2")
     g1 = _greens_tilted(sigma_sq, Lambda, eps)

@@ -189,8 +189,27 @@ def test_repeat_runs_write_identical_files(tmp_path, capsys, argv, config):
         assert all(abs(n - 1.0) <= 1e-9 for n in read_json(a / "eoh.json")["norm"])
 
 
+@pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                    reason="on one core BLAS runs one thread whatever the environment says")
+@pytest.mark.parametrize("preset", ["table3", "table5"])
+def test_exact_bytes_do_not_follow_blas_threads(tmp_path, preset):
+    """qcosmo pins BLAS to one thread, so a host's core count does not move the exact
+    ground's last bits; table3 and table5 are the presets where it did."""
+    blas = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    outs = []
+    for extra in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+        out = tmp_path / f"run{len(outs)}"
+        subprocess.run([sys.executable, "-m", "qcosmo.cli", "exact", "--preset", preset,
+                        "--out", str(out)], env={**env, **extra}, capture_output=True,
+                       timeout=120, check=True)
+        outs.append((out / "exact.json").read_bytes())
+    assert outs[0] == outs[1]
+
+
 LIMIT = models.MAX_QUBITS
-STARO = {"model": "starobinsky", "qubits": [2]}
+STARO ={"model": "starobinsky", "qubits": [2]}
 DM1_8Q = {"model": "dark_matter_1", "qubits": [4, 4]}  # 16 * (reps + 1) ansatz parameters
 
 # Every input the CLI refuses, as (argv, config, exit code, message): 2 for a
@@ -399,12 +418,13 @@ def test_reproduce_unknown_id_names_every_table(tmp_path):
 
 
 def test_reproduce_unknown_quantity_is_refused(tmp_path, monkeypatch):
-    # a quantity is looked up in its preset's summary, so the model is built first
+    # the bad row comes last: every row is checked before the first model is built
     table = {"provisional": False,
-             "rows": [{"preset": "table1", "quantity": "bogus", "reference": 1.0}]}
+             "rows": [{"preset": "table1", "quantity": "exact_ground", "reference": 1.0},
+                      {"preset": "tunneling", "quantity": "V_min", "reference": 1.0},
+                      {"preset": "table1", "quantity": "bogus", "reference": 1.0}]}
     monkeypatch.setitem(presets.REPRODUCE_TABLES, "tableX", table)
-    refuse(tmp_path, ["reproduce", "tableX"], None, 2, "unknown reproduce quantity 'bogus'",
-           built=True)
+    refuse(tmp_path, ["reproduce", "tableX"], None, 2, "unknown reproduce quantity 'bogus'")
 
 
 def test_eoh_fig13(tmp_path):
