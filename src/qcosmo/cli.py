@@ -114,11 +114,15 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
-    """Write ``header``, then each row of values as ``rows`` yields it; the text is never held."""
+def _write_csv(path: Path, header: str, row_format: str, rows) -> None:
+    """Write ``header``, then each row tuple as ``rows`` yields it; the text is never held.
+
+    ``row_format`` formats one row: ``%d`` for an integer column and ``%.17g``
+    for a float column write the bytes of ``_fmt``.
+    """
     with path.open("w") as f:
         f.write(header + "\n")
-        f.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
+        f.writelines(row_format % row for row in rows)
 
 
 def _model_config(run: dict) -> dict:
@@ -161,7 +165,7 @@ def cmd_vqe(args) -> int:
     result = vqe.run_vqe(h, spec, opt)
     summary = _exact_summary(h)
 
-    _write_csv(out_dir / "vqe_trace.csv", "eval,energy,elapsed_ms",
+    _write_csv(out_dir / "vqe_trace.csv", "eval,energy,elapsed_ms", "%d,%.17g,%.17g\n",
                ((i, energy, elapsed * 1e3)
                 for (i, energy), elapsed in zip(result.trace, result.eval_times)))
 
@@ -204,6 +208,7 @@ def cmd_eoh(args) -> int:
         )
 
     _write_csv(out_dir / "eoh_profile.csv", "tau,x_index,x_value,re_K,im_K,abs2_K",
+               "%.17g,%d,%.17g,%.17g,%.17g,%.17g\n",
                ((prof.tau, i, x, val.real, val.imag, abs(val) ** 2)
                 for prof in profiles for i, (x, val) in enumerate(zip(prof.grid, prof.values))))
 

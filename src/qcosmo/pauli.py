@@ -7,7 +7,8 @@ bit of the state index).
 
 The transform is computed one qubit at a time, each as a real 4 x 4 GEMM on
 the flat coefficient vector, so no 2^n x 2^n Pauli string is ever
-materialized.
+materialized. A complex vector goes through as its real and imaginary halves.
+The Y letters' phase, (+-i) per Y, is read off each kept term's index.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ _DIGITS = str.maketrans(_LABELS, "0123")
 # Pauli change of basis with Y's phase taken out, so every entry is 0 or +-1.
 # K is symmetric, so it serves both directions: decompose (c_s = Tr(P_s H))
 # puts back +i per Y letter and reconstruct (sum_s c_s P_s) -i per Y letter,
-# each once, as a vector from _phase.
+# each once per term, from _phase of the term's index.
 _KERNEL = np.array(
     [
         [1, 0, 0, 1],
@@ -141,23 +142,29 @@ def _pauli_transform(x: np.ndarray, n: int) -> np.ndarray:
     place: it contracts the leading digit and rotates it to the end, and
     after n passes the digits are back in order. Each output adds two values
     and rounds once, so the qubit order fixes the rounding; the tests hold
-    qubit 0 first to the per-axis ``tensordot`` oracle bit for bit.
+    qubit 0 first to the per-axis ``tensordot`` oracle bit for bit. A complex
+    ``x`` is transformed as two contiguous real halves, which rounds the same.
     """
+    if x.dtype.kind == "c":
+        out = np.empty_like(x)
+        out.real = _pauli_transform(x.real.copy(), n)
+        out.imag = _pauli_transform(x.imag.copy(), n)
+        return out
     for _ in range(n):
         x = (x.reshape(4, -1).T @ _KERNEL).reshape(-1)
     return x
 
 
-def _phase(n: int, y: complex) -> np.ndarray:
-    """y**(number of Y letters) of every flat Pauli index.
+def _phase(indices: np.ndarray, n: int, y: complex) -> np.ndarray:
+    """y**(number of Y letters) of each flat Pauli index.
 
-    The outer product of n copies of (1, 1, y, 1), built by concatenation so
-    that only the Y quarter of each step is multiplied.
+    A Y digit is binary 10, so ``(i >> 1) & ~i``, masked to each digit's low
+    bit (``(4**n - 1) // 3`` is 0b0101...01), keeps one bit per Y. The powers
+    y**k are the repeated product y * (y * ... 1), so each phase is exact,
+    signed zeros included.
     """
-    phase = np.ones(1, dtype=complex)
-    for _ in range(n):
-        phase = np.concatenate([phase, phase, y * phase, phase])
-    return phase
+    powers = np.cumprod(np.array([1] + [y] * n, dtype=complex))
+    return powers[np.bitwise_count((indices >> 1) & ~indices & (4**n - 1) // 3)]
 
 
 def _labels(indices: np.ndarray, n: int) -> list[str]:
@@ -179,18 +186,21 @@ def decompose(h: np.ndarray) -> PauliSum:
     # interleave (row_q, col_q) pairs so each qubit's pair is one base-4 digit
     order = [ax for q in range(n) for ax in (q, n + q)]
     t = h.reshape((2,) * (2 * n)).transpose(order).reshape(-1)
-    coeffs = _phase(n, 1j) * (_pauli_transform(t, n) / h.shape[0])
-    max_imag = np.max(np.abs(coeffs.imag))
-    if max_imag > 1e-10 * max(1.0, np.max(np.abs(coeffs))):
+    x = _pauli_transform(t, n) / h.shape[0]
+    # |phase| = 1: the kept set is the same before the phase; a dropped term's
+    # imaginary part (<= ZERO_TOL) could not fail the check below
+    kept = np.flatnonzero(np.abs(x) > ZERO_TOL)
+    coeffs = _phase(kept, n, 1j) * x[kept]
+    max_imag = np.max(np.abs(coeffs.imag), initial=0.0)
+    if max_imag > 1e-10 * max(1.0, np.max(np.abs(coeffs), initial=0.0)):
         raise HermiticityError(f"complex Pauli coefficient ({max_imag:.3e}) from Hermitian input")
-    kept = np.flatnonzero(np.abs(coeffs) > ZERO_TOL)
-    return PauliSum(n, kept, coeffs.real[kept])
+    return PauliSum(n, kept, coeffs.real)
 
 
 def reconstruct(s: PauliSum) -> np.ndarray:
     """Dense matrix sum_t coeff_t * (tensor product of Pauli factors)."""
     n = s.n_qubits
-    phase = _phase(n, -1j)[s.index]
+    phase = _phase(s.index, n, -1j)
     # real arithmetic unless some term has an odd number of Y letters
     terms = phase * s.coeff if phase.imag.any() else phase.real * s.coeff
     coeffs = np.zeros(4**n, dtype=terms.dtype)

@@ -349,18 +349,26 @@ _SOLVERS = [(models, "build_model"), (vqe, "run_vqe"), (evolution, "interval_pro
             (evolution, "double_well_eoh")]
 
 
-def _unreachable(*args, **kwargs):
-    raise AssertionError("a config error must be raised before any solver runs")
-
-
 def refuse(tmp_path, argv, config, code, message, *, out="out", built=False):
     """Run ``argv`` in ``tmp_path``, assert the CLI's refusal contract and return its line.
 
     The refusal exits ``code`` with one stderr line, its kind's prefix then
     ``message``, and no traceback or warning. A config error (exit 2) leaves
     ``tmp_path`` as it found it, so the ``--out`` path is not made, and runs no
-    solver unless ``built``.
+    solver unless ``built``. With ``code`` None any exit code is accepted: a
+    success writes no traceback and returns None, and a refusal is held to its
+    own code's contract.
     """
+    solved = []
+
+    def watched(solver):
+        def run_unless_refused(*args, **kwargs):
+            solved.append(solver.__name__)
+            # an expected config error stops here, before a missing check's work
+            assert code != 2, "a config error must be raised before any solver runs"
+            return solver(*args, **kwargs)
+        return run_unless_refused
+
     with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         mp.chdir(tmp_path)
@@ -370,20 +378,25 @@ def refuse(tmp_path, argv, config, code, message, *, out="out", built=False):
             argv = [*argv, "--config", "cfg.json"]
         if out is not None and argv[0] != "reproduce":
             argv = [*argv, "--out", out]
-        if code == 2 and not built:
+        if not built:
             for module, name in _SOLVERS:
-                mp.setattr(module, name, _unreachable)
+                mp.setattr(module, name, watched(getattr(module, name)))
         before = sorted(tmp_path.rglob("*"))
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            assert run(argv) == code, err.getvalue()
+            got = run(argv)
+        assert got == code if code is not None else got in (0, 1, 2), err.getvalue()
+    if got == 0:
+        assert "Traceback" not in err.getvalue(), err.getvalue()
+        return None
     lines = err.getvalue().splitlines()
     assert len(lines) == 1 and "Traceback" not in lines[0], lines
-    prefix = {1: "numerical failure: ", 2: "config error: "}[code]
+    prefix = {1: "numerical failure: ", 2: "config error: "}[got]
     assert lines[0].startswith(prefix + message), lines[0]
     # outside pytest a warning would print more lines to stderr
     assert [str(w.message) for w in caught] == []
-    if code == 2:
+    if got == 2:
+        assert solved == [], f"config error after {solved}: {lines[0]}"
         assert sorted(tmp_path.rglob("*")) == before
     return lines[0]
 
@@ -477,6 +490,28 @@ def test_eoh_profile_is_streamed_to_disk(tmp_path, kind):
     finally:
         tracemalloc.stop()
     assert peak < (tmp_path / "eoh_profile.csv").stat().st_size
+
+
+def test_csv_row_format_writes_the_bytes_of_fmt(tmp_path):
+    rows = [(0, 0.0, -0.0), (np.int64(-7), np.nan, np.inf), (np.uint8(255), -np.inf, 1e-300),
+            (2**63, np.float64(1 / 3), 5e-324), (np.int32(3), np.float64(-0.0), 1e300)]
+    cli._write_csv(tmp_path / "t.csv", "i,a,b", "%d,%.17g,%.17g\n", iter(rows))
+    want = "i,a,b\n" + "".join(",".join(map(cli._fmt, row)) + "\n" for row in rows)
+    assert (tmp_path / "t.csv").read_bytes() == want.encode()
+
+
+@pytest.mark.parametrize("argv, name, int_columns", [
+    (["vqe", "--preset", "table1", "--budget", "20"], "vqe_trace.csv", {0}),
+    (["eoh", "--preset", "fig13"], "eoh_profile.csv", {1}),
+])
+def test_csv_fields_are_fmt_text(tmp_path, argv, name, int_columns):
+    # each field is what _fmt writes for its value: 17 significant digits for a float
+    assert run([*argv, "--out", str(tmp_path)]) == 0
+    rows = [line.split(",") for line in (tmp_path / name).read_text().splitlines()[1:]]
+    assert rows
+    for row in rows:
+        values = [int(f) if j in int_columns else float(f) for j, f in enumerate(row)]
+        assert list(map(cli._fmt, values)) == row
 
 
 def test_preset_help_lists_presets(capsys):
@@ -637,13 +672,7 @@ def _configs(draw):
 @given(command=st.sampled_from(["exact", "vqe", "eoh"]), config=_configs())
 def test_random_configs_exit_cleanly(command, config):
     with tempfile.TemporaryDirectory() as tmp:
-        cfg = Path(tmp) / "cfg.json"
-        cfg.write_text(json.dumps(config))
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = run([command, "--config", str(cfg), "--out", tmp])
-    assert code in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
+        refuse(Path(tmp), [command], config, None, "")
 
 
 # Random argv: a command, then up to three flags drawn from the cli table and one
@@ -673,11 +702,4 @@ def test_random_argv_exit_cleanly(command, config, flags, data):
     for flag in flags:
         argv += [f"--{flag}", data.draw(st.one_of(_ARGV_VALUES[flag], _ARGV_JUNK))]
     with tempfile.TemporaryDirectory() as tmp:
-        cfg = Path(tmp) / "cfg.json"
-        cfg.write_text(json.dumps(config))
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = run([*argv, "--config", str(cfg), "--out", tmp])
-    assert code in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
-    assert code == 0 or len(err.getvalue().splitlines()) == 1
+        refuse(Path(tmp), argv, config, None, "")

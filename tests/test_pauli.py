@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qcosmo import circuits, models, pauli, presets, vqe
-from qcosmo.bases import BasisKind, build_position
+from qcosmo.bases import BasisKind, build_position, require_hermitian
 from qcosmo.errors import HermiticityError, ShapeError
 
 
@@ -161,6 +161,98 @@ def test_bit_identical_to_oracle_random_complex(n):
     s = assert_bit_identical_to_oracle(a + a.conj().T)
     # odd-Y terms take reconstruct's complex path
     assert any(label.count("Y") % 2 for label in s.labels())
+
+
+# The former table path, frozen as the oracle of the per-index phase and of the
+# two real halves: a 4**n phase table built by concatenation and multiplied
+# into every coefficient before the threshold, and one GEMM per qubit in the
+# vector's own arithmetic (complex GEMMs for a complex vector).
+def table_phase(n, y):
+    """y**(number of Y letters) of every flat Pauli index, as one 4**n table."""
+    phase = np.ones(1, dtype=complex)
+    for _ in range(n):
+        phase = np.concatenate([phase, phase, y * phase, phase])
+    return phase
+
+
+def gemm_transform(x, n):
+    for _ in range(n):
+        x = (x.reshape(4, -1).T @ pauli._KERNEL).reshape(-1)
+    return x
+
+
+def table_decompose(h):
+    """The former decompose's (index, coeff)."""
+    h = require_hermitian(np.asarray(h))
+    n = int(np.log2(h.shape[0]))
+    order = [ax for q in range(n) for ax in (q, n + q)]
+    t = h.reshape((2,) * (2 * n)).transpose(order).reshape(-1)
+    coeffs = table_phase(n, 1j) * (gemm_transform(t, n) / h.shape[0])
+    kept = np.flatnonzero(np.abs(coeffs) > pauli.ZERO_TOL)
+    return kept, coeffs.real[kept]
+
+
+def table_reconstruct(s):
+    """The former reconstruct's matrix."""
+    n = s.n_qubits
+    phase = table_phase(n, -1j)[s.index]
+    terms = phase * s.coeff if phase.imag.any() else phase.real * s.coeff
+    coeffs = np.zeros(4**n, dtype=terms.dtype)
+    coeffs[s.index] = terms
+    t = gemm_transform(coeffs, n).reshape((2,) * (2 * n))
+    rows = [2 * q for q in range(n)]
+    cols = [2 * q + 1 for q in range(n)]
+    return np.ascontiguousarray(t.transpose(rows + cols), dtype=complex).reshape(2**n, 2**n)
+
+
+def assert_bytes_equal_table_path(h):
+    s = pauli.decompose(h)
+    index, coeff = table_decompose(h)
+    assert s.index.tobytes() == index.tobytes()
+    assert s.coeff.tobytes() == coeff.tobytes()
+    assert_reconstruct_bytes_equal_table_path(s)
+    return s
+
+
+def assert_reconstruct_bytes_equal_table_path(s):
+    got, want = pauli.reconstruct(s), table_reconstruct(s)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("y", [1j, -1j], ids=["+i", "-i"])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_phase_rule_matches_table(n, y):
+    assert pauli._phase(np.arange(4**n), n, y).tobytes() == table_phase(n, y).tobytes()
+
+
+@pytest.mark.parametrize("preset", MODEL_PRESETS)
+def test_bytes_equal_table_path_on_presets(preset):
+    assert_bytes_equal_table_path(preset_hamiltonian(preset))
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "imaginary"])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_bytes_equal_table_path_random(n, kind):
+    rng = np.random.default_rng(300 + n)
+    dim = 2**n
+
+    # a sparse real part leaves zero even-Y coefficients for decompose to drop,
+    # and a dense imaginary part gives odd-Y terms, which reconstruct
+    # transforms as two real halves
+    real = rng.normal(size=(dim, dim)) * (rng.random((dim, dim)) < 0.3)
+    imag = 1j * rng.normal(size=(dim, dim))
+    a = {"real": real, "complex": real + imag, "imaginary": imag}[kind]
+    s = assert_bytes_equal_table_path(a + a.conj().T)
+    assert any(label.count("Y") % 2 for label in s.labels()) == (kind != "real")
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_reconstruct_bytes_equal_table_path_odd_y(n):
+    rng = np.random.default_rng(400 + n)
+    index = np.flatnonzero(rng.random(4**n) < 0.3)
+    s = pauli.PauliSum(n, index, rng.normal(size=index.size))
+    assert any(label.count("Y") % 2 for label in s.labels())
+    assert_reconstruct_bytes_equal_table_path(s)
 
 
 @pytest.mark.parametrize("preset", ["table1", "table3", "table4-256", "table5"])
