@@ -254,18 +254,18 @@ def cmd_reproduce(args) -> int:
         ref = row["reference"]
         abs_err = abs(computed - ref)
         rel_err = abs_err / abs(ref) if ref != 0 else float("inf")
-        rows_out.append((preset, quantity, ref, computed, abs_err, rel_err))
+        rows_out.append((preset, quantity, ref, computed, abs_err, rel_err,
+                         presets.verdict(row, computed)))
 
     tag = " (provisional reference values)" if spec["provisional"] else ""
     print(f"reproduction check: {table_id}{tag}")
     header = f"{'preset':<12} {'quantity':<22} {'reference':>14} {'computed':>22} {'abs_err':>10} {'rel_err':>10}"
     print(header)
     print("-" * len(header))
-    for preset_name, quantity, ref, computed, abs_err, rel_err in rows_out:
-        matched = "match" if rel_err < 1e-3 else "differs"
+    for preset_name, quantity, ref, computed, abs_err, rel_err, verdict in rows_out:
         print(
             f"{preset_name:<12} {quantity:<22} {ref:>14} {_fmt(computed):>22} "
-            f"{abs_err:>10.2e} {rel_err:>10.2e}  {matched}"
+            f"{abs_err:>10.2e} {rel_err:>10.2e}  {verdict}"
         )
     return 0
 

@@ -1,14 +1,16 @@
 """Named experiment presets addressable from the CLI and the test suite.
 
-Each preset is a complete run configuration; reference values carried here
-drive the ``reproduce`` command's side-by-side comparison tables. Entries
-with ``provisional=True`` depend on couplings that have no published value,
-so the comparison is reported but not treated as a fidelity claim.
+Each preset is a complete run configuration. The reference tables are the
+release gate's single source: ``reproduce`` prints each row's ``verdict`` and
+the acceptance suite asserts the same rows by the same rules. A row without a
+rule depends on couplings that have no published value: it is reported, not
+asserted, and its table is provisional.
 """
 
 from __future__ import annotations
 
 import copy
+import math
 
 from .errors import ConfigError
 
@@ -40,60 +42,74 @@ PRESETS: dict[str, dict] = {
     },
 }
 
-# reference values for the side-by-side comparison tables
+
+def _reference_table(*rows) -> dict:
+    """Rows of (preset, quantity, reference, rule); provisional when a row has no rule."""
+    rows = [dict(zip(("preset", "quantity", "reference", "rule"), row, strict=True))
+            for row in rows]
+    return {"provisional": any(row["rule"] is None for row in rows), "rows": rows}
+
+
+# each reference with the release gate's rule for it, judged by ``verdict``
 REPRODUCE_TABLES: dict[str, dict] = {
-    "table1": {
-        "provisional": False,
-        "rows": [
-            {"preset": "table1", "quantity": "exact_ground", "reference": 0.49785652},
-            {"preset": "table1", "quantity": "pauli_terms", "reference": 135},
-        ],
-    },
-    "table2": {
-        "provisional": False,
-        "rows": [
-            {"preset": "table2-4q", "quantity": "exact_ground", "reference": 0.43791588},
-            {"preset": "table2-5q", "quantity": "exact_ground", "reference": 0.00285585},
-            {"preset": "table2-6q", "quantity": "exact_ground", "reference": 1.11637e-6},
-        ],
-    },
-    "table3": {
-        "provisional": True,
-        "rows": [
-            {"preset": "table3", "quantity": "exact_ground", "reference": 4.821e-5},
-            {"preset": "table3", "quantity": "pauli_terms", "reference": 15115},
-        ],
-    },
-    "table4": {
-        "provisional": True,
-        "rows": [
-            {"preset": "table4-16", "quantity": "exact_ground", "reference": 1.01208468},
-            {"preset": "table4-16", "quantity": "pauli_terms", "reference": 25},
-            {"preset": "table4-64", "quantity": "exact_ground", "reference": 1.01205876},
-            {"preset": "table4-64", "quantity": "pauli_terms", "reference": 361},
-            {"preset": "table4-256", "quantity": "exact_ground", "reference": 1.01205913},
-            {"preset": "table4-256", "quantity": "pauli_terms", "reference": 3025},
-        ],
-    },
-    "table5": {
-        "provisional": True,
-        "rows": [
-            {"preset": "table5", "quantity": "exact_ground", "reference": 1.015},
-            {"preset": "table5", "quantity": "pauli_terms", "reference": 3024},
-        ],
-    },
-    "tunneling": {
-        "provisional": False,
-        "rows": [
-            {"preset": "tunneling", "quantity": "V_min", "reference": -0.378498},
-            {"preset": "tunneling", "quantity": "M_sq", "reference": 0.584376},
-            {"preset": "tunneling", "quantity": "delta", "reference": 0.139707},
-            {"preset": "tunneling", "quantity": "S_E_over_4", "reference": 1534.44},
-            {"preset": "tunneling", "quantity": "log10_lifetime_planck", "reference": 666.399},
-            {"preset": "tunneling", "quantity": "log10_lifetime_years", "reference": 615.632},
-        ],
-    },
+    "table1": _reference_table(
+        ("table1", "exact_ground", 0.49785652, ("abs", 1e-6)),
+        ("table1", "pauli_terms", 135, ("abs", 0)),
+    ),
+    "table2": _reference_table(
+        ("table2-4q", "exact_ground", 0.43791588, ("rel", 1e-4)),
+        ("table2-5q", "exact_ground", 0.00285585, ("rel", 1e-4)),
+        ("table2-6q", "exact_ground", 1.11637e-6, ("factor", 2.0)),
+    ),
+    "table3": _reference_table(
+        ("table3", "exact_ground", 4.821e-5, None),
+        ("table3", "pauli_terms", 15115, None),
+    ),
+    "table4": _reference_table(
+        ("table4-16", "exact_ground", 1.01208468, None),
+        ("table4-16", "pauli_terms", 25, ("abs", 0)),
+        ("table4-64", "exact_ground", 1.01205876, None),
+        ("table4-64", "pauli_terms", 361, ("abs", 0)),
+        ("table4-256", "exact_ground", 1.01205913, None),
+        ("table4-256", "pauli_terms", 3025, ("abs", 0)),
+    ),
+    "table5": _reference_table(
+        ("table5", "exact_ground", 1.015, None),
+        ("table5", "pauli_terms", 3024, None),
+    ),
+    "tunneling": _reference_table(
+        ("tunneling", "V_min", -0.378498, ("abs", 1e-3)),
+        ("tunneling", "M_sq", 0.584376, ("rel", 0.01)),
+        ("tunneling", "delta", 0.139707, ("rel", 0.02)),
+        ("tunneling", "S_E_over_4", 1534.44, ("rel", 0.01)),
+        # the lifetimes compare in log10: e^(S_E/4) turns the 1% action window into
+        # a factor of about 10^6.7, so a window on the mantissa would say nothing
+        ("tunneling", "log10_lifetime_planck", 666.4, ("abs", 1.0)),
+        ("tunneling", "log10_lifetime_years", 615 + math.log10(4.2823), ("abs", 1.0)),
+    ),
 }
+
+
+def verdict(row: dict, computed: float) -> str:
+    """``match`` or ``differs`` by the row's rule, or ``reported`` for a row without one.
+
+    A rule is ("abs", tol), ("rel", tol), which scales tol by |reference|, or
+    ("factor", f), which accepts reference / f <= computed <= reference * f.
+    """
+    if row["rule"] is None:
+        return "reported"
+    (kind, tol), ref = row["rule"], row["reference"]
+    if kind == "factor":
+        ok = ref / tol <= computed <= ref * tol
+    else:
+        ok = abs(computed - ref) <= (tol * abs(ref) if kind == "rel" else tol)
+    return "match" if ok else "differs"
+
+
+def reference_row(preset: str, quantity: str) -> dict:
+    """The row of REPRODUCE_TABLES that holds the reference of one preset's quantity."""
+    return next(row for spec in REPRODUCE_TABLES.values() for row in spec["rows"]
+                if (row["preset"], row["quantity"]) == (preset, quantity))
 
 
 def get_preset(name: str) -> dict:

@@ -18,16 +18,15 @@ needed.
   K_{i nu} to about 1e-14 K0(x) for |nu| <= MAX_NU, the bound that keeps
   the sum under 54,000 nodes.
 - The flat-space Green's function is the proper-time integral of the free
-  kernel, taken along a contour tilted by eps. Transformed exactly to its
-  phase variable theta, the tilt becomes a smooth damping factor.
-  Spacelike, theta = m sinh s with s rotated by i pi/2 (the arc at
-  infinity vanishes because eps > 0) turns the oscillatory integral into
-  2 int_0^inf exp(-m cosh s) cos(eps m sinh s) ds, the cosh integral with
-  one more cosine; it equals 2 K0(m sqrt(1 + eps^2)) for every eps.
-  Timelike, theta = m + u^2 with u = e^{-i pi/4} w gives a Gaussian decay
-  in w, and w = e^s makes the integrand decay at both ends, analytic for
-  |Im s| < pi/4, so one complex sum gives both parts. Evaluations at
-  eps and eps/2 are extrapolated to zero tilt.
+  kernel, (1/4 pi) I with I an oscillatory integral in the phase variable
+  theta, rotated onto a contour where it decays. Spacelike,
+  I = 2 int_0^inf cos(theta) / sqrt(theta^2 + m^2) dtheta, and
+  theta = m sinh s rotated by i pi/2 makes it 2 int_0^inf exp(-m cosh s) ds
+  = 2 K0(m), the cosh integral above. Timelike, theta = m + u^2 with
+  u = e^{-i pi/4} w gives a Gaussian decay in w, and w = e^s makes the
+  integrand decay at both ends, analytic for |Im s| < pi/4, so one complex
+  sum gives both parts. Both sums are taken on the untilted contour, with
+  nothing to extrapolate.
 """
 
 from __future__ import annotations
@@ -58,18 +57,18 @@ def _trapezoid(f, lo: float, hi: float, h: float):
 # ---------------------------------------------------------------------------
 # modified Bessel functions by quadrature
 
-def _cosh_integral(x: float, nu: float = 0.0, eps: float = 0.0) -> float:
-    """The integral over the real line of exp(-x cosh t) cos(nu t) cos(eps x sinh t)."""
+def _cosh_integral(x: float, nu: float = 0.0) -> float:
+    """The integral over the real line of exp(-x cosh t) cos(nu t)."""
     r = math.sqrt(x)
     t_max = 2.0 * math.asinh(math.sqrt(20.0) / r)  # x cosh t_max = x + 40
     h = min(0.1, 2.0 * math.pi / (abs(nu) + 4.0 * math.pi * r),
             math.pi**2 / (40.0 + math.pi * abs(nu)))
 
-    # x cosh t = x + 2u^2 and x sinh t = 2uv: exp(-x) comes out exactly, no digits are
-    # lost to cancellation, and nothing overflows for any finite x > 0 and |t| <= t_max
+    # x cosh t = x + 2u^2: exp(-x) comes out exactly, no digits are lost to
+    # cancellation, and nothing overflows for any finite x > 0 and |t| <= t_max
     def f(t):
-        u, v = r * np.sinh(t / 2.0), r * np.cosh(t / 2.0)
-        return np.exp(-2.0 * u * u) * np.cos(nu * t) * np.cos(2.0 * eps * u * v)
+        u = r * np.sinh(t / 2.0)
+        return np.exp(-2.0 * u * u) * np.cos(nu * t)
     return math.exp(-x) * float(_trapezoid(f, -t_max, t_max, h))
 
 
@@ -98,16 +97,25 @@ def bessel_k_imag_order(nu: float, x: float) -> float:
 # ---------------------------------------------------------------------------
 # flat fifth-time Green's function
 
-def _greens_tilted(sigma_sq: float, lam: float, eps: float) -> complex:
-    """One tilted-contour evaluation of (1/4pi) * I(eps); see module docstring."""
-    m_sq = lam * abs(sigma_sq) / (1.0 + eps**2)
-    m = math.sqrt(m_sq)
+def flat_greens_quadrature(T: float, X: float, Lambda: float) -> complex:
+    """Proper-time quadrature of the flat minisuperspace Green's function.
+
+    With m = sqrt(Lambda |X^2 - T^2|), spacelike separation (X^2 > T^2) gives
+    K0(m)/2pi and timelike separation the outgoing Hankel form
+    -(i/4) H0^(2)(m); the module docstring gives the contours.
+    """
+    if T == 0.0 and X == 0.0:
+        raise DomainError("Green's function undefined at the coincident point")
+    if Lambda <= 0:
+        raise DomainError("Lambda must be positive")
+    sigma_sq = (X - T) * (X + T)  # X^2 - T^2 without an overflow of either square
+    if not math.isfinite(Lambda * sigma_sq):
+        raise DomainError("Lambda (X^2 - T^2) must be finite")
+    m = math.sqrt(Lambda * abs(sigma_sq))
     if m < 1e-12:
         raise NonConvergenceError("lightcone singularity: X^2 = T^2")
     if sigma_sq > 0:
-        # I = 2 int_0^inf cos(theta) exp(-eps S)/S dtheta, S = sqrt(theta^2 + m^2),
-        # on the rotated contour: the even line integral of exp(-m cosh s) cos(eps m sinh s)
-        return complex(_cosh_integral(m, eps=eps) / (4.0 * np.pi))
+        return complex(_cosh_integral(m) / (4.0 * np.pi))
 
     # timelike branch: theta runs from m upward; theta = m + u^2 with u rotated by
     # -pi/4 and then u = e^s. The integrand is below e^-40 of its size outside
@@ -115,35 +123,10 @@ def _greens_tilted(sigma_sq: float, lam: float, eps: float) -> complex:
     # |Im s| < pi/4 makes the step 0.1 good to about exp(-pi^2 / 0.2) = e^-49.
     def g(s):
         w2 = np.exp(2.0 * s)
-        return np.exp(s - (1.0 - 1j * eps) * m * w2) / np.sqrt(2.0 - 1j * w2)
+        return np.exp(s - m * w2) / np.sqrt(2.0 - 1j * w2)
     lo = -40.0 - 0.5 * max(0.0, math.log(m))
     hi = 0.5 * math.log(40.0 / m) + 1.0
-    i_val = 4.0 * np.exp(-1j * (m + np.pi / 4.0)) * _trapezoid(g, lo, hi, 0.1)
-    return complex(i_val / (4.0 * np.pi))
-
-
-def flat_greens_quadrature(T: float, X: float, Lambda: float, eps: float = 1e-3) -> complex:
-    """Proper-time quadrature of the flat minisuperspace Green's function.
-
-    Spacelike separation (X^2 > T^2) reproduces K0(sqrt(Lambda (X^2-T^2)))/2pi;
-    the timelike branch is the corresponding outgoing Hankel form. ``eps`` is
-    the contour tilt angle; evaluations at eps and eps/2 are extrapolated to
-    zero tilt.
-    """
-    if T == 0.0 and X == 0.0:
-        raise DomainError("Green's function undefined at the coincident point")
-    if not 0.0 < eps <= 0.1:
-        raise DomainError("eps must lie in (0, 0.1]")
-    if Lambda <= 0:
-        raise DomainError("Lambda must be positive")
-    sigma_sq = (X - T) * (X + T)  # X^2 - T^2 without an overflow of either square
-    if not math.isfinite(Lambda * sigma_sq):
-        raise DomainError("Lambda (X^2 - T^2) must be finite")
-    if sigma_sq == 0.0:
-        raise NonConvergenceError("lightcone singularity: X^2 = T^2")
-    g1 = _greens_tilted(sigma_sq, Lambda, eps)
-    g2 = _greens_tilted(sigma_sq, Lambda, eps / 2.0)
-    return 2.0 * g2 - g1
+    return complex(np.exp(-1j * (m + np.pi / 4.0)) * _trapezoid(g, lo, hi, 0.1) / np.pi)
 
 
 # ---------------------------------------------------------------------------

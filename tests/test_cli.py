@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -27,8 +28,8 @@ def read_json(path):
 def test_exact_table1(tmp_path, capsys):
     assert run(["exact", "--preset", "table1", "--out", str(tmp_path)]) == 0
     payload = read_json(tmp_path / "exact.json")
-    assert payload["exact_ground"] == pytest.approx(0.49785652, abs=1e-6)
-    assert payload["pauli_terms"] == 135
+    for quantity in ("exact_ground", "pauli_terms"):
+        assert presets.verdict(presets.reference_row("table1", quantity), payload[quantity]) == "match"
     assert payload["dim"] == 16
     assert payload["schema_version"] == 1
     assert payload["config"]["model"] == "starobinsky"
@@ -41,9 +42,12 @@ def test_exact_table4(tmp_path):
     assert np.isfinite(payload["exact_ground"])
 
 
-# every model preset's Pauli term count, a figure that moves if the transform's rounding does
-PAULI_TERMS = {"table1": 135, "table2-4q": 135, "table2-5q": 499, "table2-6q": 1541,
-               "table3": 17801, "table4-16": 25, "table4-64": 361, "table4-256": 3025,
+# every model preset's Pauli term count, a figure that moves if the transform's rounding does;
+# the counts that the reference tables assert are read from them
+PAULI_TERMS = {"table1": presets.reference_row("table1", "pauli_terms")["reference"],
+               "table2-4q": 135, "table2-5q": 499, "table2-6q": 1541, "table3": 17801,
+               **{p: presets.reference_row(p, "pauli_terms")["reference"]
+                  for p in ("table4-16", "table4-64", "table4-256")},
                "table5": 10609}
 
 
@@ -521,16 +525,43 @@ def test_preset_help_lists_presets(capsys):
     assert "--list" not in out
 
 
-def test_reproduce_table2(capsys):
-    assert run(["reproduce", "table2"]) == 0
-    out = capsys.readouterr().out
-    assert "0.43791588" in out and "match" in out
+# the rows the release gate asserts: whole tables, and the Table 4 term counts
+_ASSERTED = {"table1", "table2", "tunneling", ("table4", "pauli_terms")}
 
 
-def test_reproduce_tunneling(capsys):
-    assert run(["reproduce", "tunneling"]) == 0
-    out = capsys.readouterr().out
-    assert "S_E_over_4" in out and "1534.44" in out
+@pytest.mark.parametrize("table", presets.REPRODUCE_TABLES)
+def test_reproduce_verdicts(capsys, table):
+    spec = presets.REPRODUCE_TABLES[table]
+    assert run(["reproduce", table]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    cells = [line.split() for line in lines[3:]]
+    assert len(cells) == len(spec["rows"])
+    verdicts = []
+    for row, (preset, quantity, reference, computed, *_, verdict) in zip(spec["rows"], cells):
+        assert (preset, quantity, float(reference)) == (
+            row["preset"], row["quantity"], row["reference"])
+        assert verdict == presets.verdict(row, float(computed))
+        asserted = table in _ASSERTED or (table, quantity) in _ASSERTED
+        assert verdict == ("match" if asserted else "reported")
+        verdicts.append(verdict)
+    assert spec["provisional"] == ("reported" in verdicts)
+    assert lines[0].endswith(" (provisional reference values)") == spec["provisional"]
+
+
+@pytest.mark.parametrize("rule, reference, edge, beyond", [
+    (("abs", 0.25), 1.0, 1.25, math.inf),
+    (("abs", 0.25), 1.0, 0.75, -math.inf),
+    (("abs", 0), 7, 7, math.inf),
+    (("rel", 0.25), -2.0, -2.5, -math.inf),  # relative to |reference|
+    (("rel", 0.25), -2.0, -1.5, math.inf),
+    (("factor", 2.0), 1.5, 3.0, math.inf),
+    (("factor", 2.0), 1.5, 0.75, -math.inf),
+])
+def test_verdict_is_match_at_the_tolerance_and_differs_beyond(rule, reference, edge, beyond):
+    row = {"preset": "p", "quantity": "q", "reference": reference, "rule": rule}
+    assert presets.verdict(row, edge) == "match"
+    assert presets.verdict(row, math.nextafter(edge, beyond)) == "differs"
+    assert presets.verdict({**row, "rule": None}, edge) == "reported"
 
 
 def test_reproduce_builds_each_preset_once(monkeypatch, capsys):
@@ -565,7 +596,8 @@ def test_qubit_and_basis_overrides(tmp_path):
     )
     payload = read_json(tmp_path / "exact.json")
     assert payload["dim"] == 32
-    assert payload["exact_ground"] == pytest.approx(0.00285585, rel=1e-5)
+    reference = presets.reference_row("table2-5q", "exact_ground")["reference"]
+    assert payload["exact_ground"] == pytest.approx(reference, rel=1e-5)
 
 
 # the qcosmo modules that `import qcosmo.cli` loads, then the solvers each command adds

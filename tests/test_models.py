@@ -34,8 +34,9 @@ def hermitian_deviation(h):
 
 def test_starobinsky_ground_and_terms():
     h = models.starobinsky_hamiltonian(StarobinskyParams(), 4)
-    assert vqe.exact_ground(h) == pytest.approx(0.49785652, abs=1e-6)
-    assert len(pauli.decompose(h)) == 135
+    ground = presets.reference_row("table1", "exact_ground")["reference"]
+    assert vqe.exact_ground(h) == pytest.approx(ground, abs=1e-6)
+    assert len(pauli.decompose(h)) == presets.reference_row("table1", "pauli_terms")["reference"]
 
 
 def test_starobinsky_free_limit_psd():
@@ -48,7 +49,8 @@ def test_starobinsky_free_limit_psd():
 
 def test_dark_energy_table_values():
     params = DarkEnergySingleRadiusParams()
-    for n_qubits, expected, rel in [(4, 0.43791588, 1e-6), (5, 0.00285585, 1e-5), (6, 1.11637e-6, 0.01)]:
+    for n_qubits, rel in [(4, 1e-6), (5, 1e-5), (6, 0.01)]:
+        expected = presets.reference_row(f"table2-{n_qubits}q", "exact_ground")["reference"]
         h = models.dark_energy_single_radius(params, n_qubits)
         assert vqe.exact_ground(h) == pytest.approx(expected, rel=rel)
 

@@ -354,7 +354,7 @@ def test_matches_brute_force_random():
 
 def test_starobinsky_term_count():
     h = models.starobinsky_hamiltonian(models.StarobinskyParams(), 4)
-    assert len(pauli.decompose(h)) == 135
+    assert len(pauli.decompose(h)) == presets.reference_row("table1", "pauli_terms")["reference"]
 
 
 def test_roundtrip_model_one():

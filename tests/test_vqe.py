@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qcosmo import circuits, models, pauli, vqe
+from qcosmo import circuits, models, pauli, presets, vqe
 from qcosmo.bases import require_hermitian
 from qcosmo.circuits import AnsatzSpec, apply_circuit, efficient_su2_ansatz, expectation_dense
 from qcosmo.errors import HermiticityError
@@ -20,13 +20,15 @@ def test_exact_ground_residual():
     energy = vqe.exact_ground(h)
     vec = np.linalg.eigh(h)[1][:, 0]
     assert np.linalg.norm(h @ vec - energy * vec) <= 1e-10
-    assert energy == pytest.approx(0.49785652, abs=1e-6)
+    assert energy == pytest.approx(presets.reference_row("table1", "exact_ground")["reference"],
+                                   abs=1e-6)
 
 
 def test_exact_ground_dark_energy_64():
     h = models.dark_energy_single_radius(models.DarkEnergySingleRadiusParams(), 6)
     energy = vqe.exact_ground(h)
-    assert energy == pytest.approx(1.11637e-6, rel=0.02)
+    assert energy == pytest.approx(presets.reference_row("table2-6q", "exact_ground")["reference"],
+                                   rel=0.02)
 
 
 def test_exact_ground_rejects_non_hermitian():

@@ -109,8 +109,6 @@ def test_greens_error_contract():
         wdw.flat_greens_quadrature(1.0, 1.0, 1.0)
     with pytest.raises(DomainError):
         wdw.flat_greens_quadrature(0.0, 0.0, 1.0)
-    with pytest.raises(DomainError):
-        wdw.flat_greens_quadrature(0.0, 1.0, 1.0, eps=0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ def test_k_imag_order_matches_mpmath():
 
 @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
 def test_greens_spacelike_is_k0_over_2pi(lam):
-    """The rotated contour makes the tilted integral 2 K0 for every eps: no bias to remove."""
+    """On the rotated contour the integral is the cosh integral of K0 itself."""
     special = pytest.importorskip("scipy.special")
     for t, x in [(0.0, 1e-5), (0.0, 0.5), (0.3, 1.1), (-1.0, 2.5), (0.0, 10.0), (2.0, 30.0)]:
         ref = special.k0(math.sqrt(lam * (x * x - t * t))) / (2.0 * math.pi)
@@ -47,13 +47,13 @@ def test_greens_spacelike_is_k0_over_2pi(lam):
         assert abs(g.real - ref) <= 1e-12 * ref, (t, x)
 
 
-@pytest.mark.parametrize("m", [1e-10, 1e-6, 1e-3, 0.1, 1.0, 3.0, 10.0, 30.0])
+@pytest.mark.parametrize("m", [1e-10, 1e-6, 1e-3, 0.1, 1.0, 3.0, 10.0, 30.0, 100.0, 1e3])
 def test_greens_timelike_matches_hankel(m):
     special = pytest.importorskip("scipy.special")
     for lam in (0.5, 2.0):
         g = wdw.flat_greens_quadrature(m / math.sqrt(lam), 0.0, lam)
         ref = -0.25j * special.hankel2(0, m)
-        assert abs(g - ref) <= 1e-5 * abs(ref), lam
+        assert abs(g - ref) <= 1e-12 * abs(ref), lam
 
 
 # the extremes of the accepted inputs: the sum's node count is largest at the
