@@ -259,12 +259,15 @@ def cmd_reproduce(args) -> int:
 
     tag = " (provisional reference values)" if spec["provisional"] else ""
     print(f"reproduction check: {table_id}{tag}")
-    header = f"{'preset':<12} {'quantity':<22} {'reference':>14} {'computed':>22} {'abs_err':>10} {'rel_err':>10}"
+    # the reference prints as its repr, so float() of the cell gives the table's value back
+    width = max(14, *(len(str(row["reference"])) for row in spec["rows"]))
+    header = (f"{'preset':<12} {'quantity':<22} {'reference':>{width}} {'computed':>22} "
+              f"{'abs_err':>10} {'rel_err':>10}")
     print(header)
     print("-" * len(header))
     for preset_name, quantity, ref, computed, abs_err, rel_err, verdict in rows_out:
         print(
-            f"{preset_name:<12} {quantity:<22} {ref:>14} {_fmt(computed):>22} "
+            f"{preset_name:<12} {quantity:<22} {ref:>{width}} {_fmt(computed):>22} "
             f"{abs_err:>10.2e} {rel_err:>10.2e}  {verdict}"
         )
     return 0

@@ -13,6 +13,7 @@ The Y letters' phase, (+-i) per Y, is read off each kept term's index.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,25 +135,33 @@ def _n_qubits_of(dim: int) -> int:
     return dim.bit_length() - 1
 
 
-def _pauli_transform(x: np.ndarray, n: int) -> np.ndarray:
+def _pauli_transform(parts: Iterable[np.ndarray], n: int) -> np.ndarray:
     """Apply ``_KERNEL`` along each base-4 digit of a flat length-4**n vector.
+
+    ``parts`` yields a real vector as one contiguous float64 array, or a
+    complex vector as its real and imaginary halves, each contiguous; the
+    result is real or complex to match. From a generator, the imaginary half
+    is made only after the real half's passes, so one input half is held at
+    a time.
 
     Each pass is one GEMM, ``(K @ x.reshape(4, -1)).T`` written as
     ``x.reshape(4, -1).T @ K`` (K is symmetric) so BLAS reads the transpose in
     place: it contracts the leading digit and rotates it to the end, and
     after n passes the digits are back in order. Each output adds two values
     and rounds once, so the qubit order fixes the rounding; the tests hold
-    qubit 0 first to the per-axis ``tensordot`` oracle bit for bit. A complex
-    ``x`` is transformed as two contiguous real halves, which rounds the same.
+    qubit 0 first to the per-axis ``tensordot`` oracle bit for bit. The two
+    halves of a complex vector round as the complex transform would.
     """
-    if x.dtype.kind == "c":
-        out = np.empty_like(x)
-        out.real = _pauli_transform(x.real.copy(), n)
-        out.imag = _pauli_transform(x.imag.copy(), n)
-        return out
-    for _ in range(n):
-        x = (x.reshape(4, -1).T @ _KERNEL).reshape(-1)
-    return x
+    out = []
+    for x in parts:
+        for _ in range(n):
+            x = (x.reshape(4, -1).T @ _KERNEL).reshape(-1)
+        out.append(x)
+    if len(out) == 1:
+        return out[0]
+    z = np.empty(4**n, dtype=complex)
+    z.real, z.imag = out
+    return z
 
 
 def _phase(indices: np.ndarray, n: int, y: complex) -> np.ndarray:
@@ -183,10 +192,12 @@ def decompose(h: np.ndarray) -> PauliSum:
     h = np.asarray(h)
     n = _n_qubits_of(h.shape[0])
     h = require_hermitian(h)  # real when it has no imaginary part: then the transform is real
-    # interleave (row_q, col_q) pairs so each qubit's pair is one base-4 digit
+    # interleave (row_q, col_q) pairs so each qubit's pair is one base-4 digit, gathering
+    # a complex H's real and imaginary parts straight into the two contiguous halves
     order = [ax for q in range(n) for ax in (q, n + q)]
-    t = h.reshape((2,) * (2 * n)).transpose(order).reshape(-1)
-    x = _pauli_transform(t, n) / h.shape[0]
+    parts = (h.real, h.imag) if np.iscomplexobj(h) else (h,)
+    x = _pauli_transform((np.ascontiguousarray(p.reshape((2,) * (2 * n)).transpose(order))
+                          .reshape(-1) for p in parts), n) / h.shape[0]
     # |phase| = 1: the kept set is the same before the phase; a dropped term's
     # imaginary part (<= ZERO_TOL) could not fail the check below
     kept = np.flatnonzero(np.abs(x) > ZERO_TOL)
@@ -206,7 +217,8 @@ def reconstruct(s: PauliSum) -> np.ndarray:
     coeffs = np.zeros(4**n, dtype=terms.dtype)
     coeffs[s.index] = terms
     # split each base-4 digit back into (row, col) bits and deinterleave
-    t = _pauli_transform(coeffs, n).reshape((2,) * (2 * n))
+    parts = (p.copy() for p in (coeffs.real, coeffs.imag)) if np.iscomplexobj(coeffs) else (coeffs,)
+    t = _pauli_transform(parts, n).reshape((2,) * (2 * n))
     rows = [2 * q for q in range(n)]
     cols = [2 * q + 1 for q in range(n)]
     return np.ascontiguousarray(t.transpose(rows + cols), dtype=complex).reshape(2**n, 2**n)

@@ -536,8 +536,12 @@ def test_reproduce_verdicts(capsys, table):
     lines = capsys.readouterr().out.splitlines()
     cells = [line.split() for line in lines[3:]]
     assert len(cells) == len(spec["rows"])
+    # every reference cell, the longest repr too, ends under the header's "reference"
+    end = lines[1].index("reference") + len("reference")
     verdicts = []
-    for row, (preset, quantity, reference, computed, *_, verdict) in zip(spec["rows"], cells):
+    for line, row, (preset, quantity, reference, computed, *_, verdict) in zip(
+            lines[3:], spec["rows"], cells):
+        assert line[:end].endswith(" " + reference) and line[end] == " "
         assert (preset, quantity, float(reference)) == (
             row["preset"], row["quantity"], row["reference"])
         assert verdict == presets.verdict(row, float(computed))

@@ -504,12 +504,19 @@ def test_exact_evolve_matches_former_spectral_route_bit_for_bit(n_qubits, kind):
         assert np.array_equal(exact_evolve(h, t, psi), _oracle_spectral_evolve(h, t, psi))
 
 
-@pytest.mark.parametrize("n_qubits", [1, 3, 6])
+@pytest.mark.parametrize("n_qubits", [1, 3, 6, 8])
 def test_dtype_twins_give_identical_bits(n_qubits):
-    """A real H as float64 and as complex128 with a zero imaginary part: the same bits everywhere."""
+    """A real H as float64 and as complex128 with a zero imaginary part: the same bits everywhere.
+
+    At 8 qubits H commutes with the exchange of its two 4-qubit modes, so exact_ground splits.
+    """
     rng = np.random.default_rng(n_qubits)
     dim = 2**n_qubits
     h = _random_symmetric(rng, dim)
+    if n_qubits == 8:
+        d = 16
+        h = h + h.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(dim, dim)
+        assert vqe._exchange_blocks(h) is not None
     twin = h.astype(complex)
     psi = random_state(rng, dim)
     assert vqe.exact_ground(h) == vqe.exact_ground(twin)

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from qcosmo import circuits, models, pauli, presets, vqe
+from qcosmo import bases, circuits, models, pauli, presets, vqe
 from qcosmo.bases import require_hermitian
 from qcosmo.circuits import AnsatzSpec, apply_circuit, efficient_su2_ansatz, expectation_dense
 from qcosmo.errors import HermiticityError
@@ -34,6 +36,74 @@ def test_exact_ground_dark_energy_64():
 def test_exact_ground_rejects_non_hermitian():
     with pytest.raises(HermiticityError):
         vqe.exact_ground(np.array([[0, 1], [0, 0]], dtype=complex))
+
+
+def swap_factors(m):
+    """m with its two equal tensor factors exchanged, on rows and columns alike."""
+    d = math.isqrt(m.shape[0])
+    return m.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(m.shape)
+
+
+def exchange_symmetric(rng, n_qubits, kind):
+    """A random Hermitian H that commutes bit for bit with the exchange of its two modes."""
+    dim = 2**n_qubits
+    m = rng.normal(size=(dim, dim))
+    if kind == "complex":
+        m = m + 1j * rng.normal(size=(dim, dim))
+    return bases.hermitize(m + swap_factors(m))
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("n_qubits", [2, 4, 6, 8])
+def test_exchange_blocks_hold_the_full_spectrum(n_qubits, kind):
+    h = exchange_symmetric(np.random.default_rng([n_qubits, kind == "complex"]), n_qubits, kind)
+    d = 2 ** (n_qubits // 2)
+    even, odd = vqe._exchange_blocks(h)
+    assert even.shape == (d * (d + 1) // 2,) * 2 and odd.shape == (d * (d - 1) // 2,) * 2
+    # an exactly Hermitian H gives exactly Hermitian blocks, both triangles filled
+    assert np.array_equal(even, even.conj().T) and np.array_equal(odd, odd.conj().T)
+    full = np.linalg.eigvalsh(h)
+    split = np.sort(np.concatenate([np.linalg.eigvalsh(even), np.linalg.eigvalsh(odd)]))
+    scale = np.max(np.abs(full))
+    assert np.max(np.abs(split - full)) <= 1e-12 * scale
+    # both solves are backward stable: each ground is within a few ulps of ||H|| of the truth
+    assert abs(split[0] - full[0]) <= 16 * np.spacing(scale)
+    # one path per input: the split at 256 rows (EXCHANGE_SPLIT_MIN_DIM), one full solve below
+    assert vqe.exact_ground(h) == (split[0] if n_qubits == 8 else full[0])
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_exchange_split_finds_a_ground_in_the_odd_sector(kind):
+    """-4 (I - SWAP)/2 lowers every exchange-odd state by 4, far below the even block."""
+    h = exchange_symmetric(np.random.default_rng(11), 8, kind) / 64
+    swap = np.eye(256).reshape(16, 16, 16, 16).transpose(0, 1, 3, 2).reshape(256, 256)
+    h = h - 2.0 * (np.eye(256) - swap)
+    even, odd = vqe._exchange_blocks(h)
+    full = np.linalg.eigvalsh(h)[0]
+    assert np.linalg.eigvalsh(odd)[0] < np.linalg.eigvalsh(even)[0] - 1.0
+    assert vqe.exact_ground(h) == pytest.approx(full, rel=1e-14)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_one_ulp_off_the_exchange_takes_the_full_solve(kind):
+    h = exchange_symmetric(np.random.default_rng(5), 8, kind)
+    # |0,1> <-> |2,3> moves by 1 ulp on both sides of the diagonal; its mirror |1,0> <-> |3,2> stays
+    x, y = 0 * 16 + 1, 2 * 16 + 3
+    h[x, y] += np.spacing(h[x, y].real)
+    h[y, x] = np.conj(h[x, y])
+    assert vqe._exchange_blocks(h) is None
+    assert vqe.exact_ground(h) == float(np.linalg.eigvalsh(h)[0])
+
+
+@pytest.mark.parametrize("preset", [name for name, cfg in presets.PRESETS.items() if "model" in cfg])
+def test_exchange_split_on_presets_matches_the_full_solve(preset):
+    """Exactly the two-field presets commute with the mode exchange; table3's H misses it
+    by its sum order, so it keeps the full solve."""
+    cfg = presets.get_preset(preset)
+    h = require_hermitian(models.build_model({k: cfg[k] for k in ("model", "params", "qubits",
+                                                                  "basis")})[0])
+    assert (vqe._exchange_blocks(h) is not None) == (preset in ("table4-16", "table4-64", "table4-256", "table5"))
+    assert vqe.exact_ground(h) == pytest.approx(float(np.linalg.eigvalsh(h)[0]), rel=1e-14)
 
 
 def test_single_qubit_z_reaches_minus_one():
