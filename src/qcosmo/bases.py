@@ -23,6 +23,7 @@ keeps the rounding-level imaginary part of its Fourier product and stays complex
 from __future__ import annotations
 
 import enum
+import math
 
 import numpy as np
 
@@ -46,7 +47,10 @@ class BasisKind(enum.Enum):
 
 
 def require_hermitian(op: np.ndarray) -> np.ndarray:
-    """``op`` in double precision, real if its imaginary part is zero; raises if not Hermitian."""
+    """``op`` in double precision, real if its imaginary part is zero.
+
+    Raises DomainError on a NaN or infinite entry, and HermiticityError if ``op`` is not Hermitian.
+    """
     op = np.asarray(op)
     if op.ndim != 2 or op.shape[0] != op.shape[1] or not op.size:
         raise ShapeError(f"expected a non-empty square matrix, got shape {op.shape}")
@@ -54,9 +58,12 @@ def require_hermitian(op: np.ndarray) -> np.ndarray:
     # a complex matrix with no imaginary part gives the same deviation and scale from its real part
     if np.iscomplexobj(op) and not op.imag.any():
         op = op.real
+    # NaN or infinite exactly when an entry is, before a subtraction could hide it in the deviation
+    scale = np.max(np.abs(op))
+    if not math.isfinite(scale):  # np.max gives a float; math's test costs a tenth of numpy's
+        raise DomainError("matrix has non-finite entries")
     dev = np.max(np.abs(op - op.conj().T))
-    scale = max(1.0, np.max(np.abs(op)))
-    if dev > HERMITICITY_TOL * scale:
+    if dev > HERMITICITY_TOL * max(1.0, scale):
         raise HermiticityError(f"matrix deviates from Hermitian by {dev:.3e}")
     return op
 

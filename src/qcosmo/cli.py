@@ -13,6 +13,9 @@ version and resolved config keys (README lists which ones each holds);
 identical config and seed give byte-identical files (the trace CSV's
 elapsed_ms column is wall-clock and exempt). Each command imports its solver
 modules when it runs, so ``exact`` loads no evolution code and ``eoh`` no VQE.
+
+``main`` parses argv with one parser, built when this module is imported, so
+the calls of one process share it; ``build_parser()`` still returns a new one.
 """
 
 from __future__ import annotations
@@ -305,9 +308,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once at import: a parse reads the parser and leaves it as it was, so calls share it
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
         return args.fn(args)
     except SystemExit as exc:  # --help, once its text is printed
         return exc.code

@@ -1,11 +1,13 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from qcosmo import bases, circuits, evolution, vqe
+from qcosmo import bases, circuits, evolution, pauli, vqe
 from qcosmo.bases import BasisKind
 from qcosmo.errors import (
+    DomainError,
     HermiticityError,
     InvalidTruncationError,
     ShapeError,
@@ -238,6 +240,31 @@ def test_require_hermitian_widens_to_double_precision(op, expected):
     """Narrower input is widened, so what callers diagonalise keeps double precision."""
     out = bases.require_hermitian(op)
     assert out.dtype == expected and np.array_equal(out, op)
+
+
+@pytest.mark.parametrize("call", [
+    vqe.exact_ground,
+    pauli.decompose,
+    lambda h: evolution.exact_evolve(h, 1.0, np.full(4, 0.5)),
+    lambda h: vqe.run_vqe(h, circuits.AnsatzSpec(2, 1), vqe.OptimizerConfig(budget=5)),
+], ids=["exact_ground", "decompose", "exact_evolve", "run_vqe"])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("where", [(0, 1), (1, 1)], ids=["off-diagonal", "diagonal"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+def test_non_finite_entry_is_a_domain_error(call, kind, where, value):
+    """A NaN or infinite entry is refused before any solver reads it, with no warning.
+
+    A NaN deviation, or an infinite one against an infinite scale, is not above
+    the tolerance, so the Hermiticity check alone would pass such a matrix.
+    """
+    h = np.eye(4)
+    if kind == "complex":
+        h = h + np.diag([1j, 0, 0], k=1) - np.diag([1j, 0, 0], k=-1)  # a Hermitian imaginary part
+    h[where] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="^matrix has non-finite entries$"):
+            call(h)
 
 
 @pytest.mark.parametrize("call", [

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -19,6 +20,13 @@ from qcosmo import cli, config, evolution, models, presets, vqe
 
 def run(argv):
     return cli.main(argv)
+
+
+def run_child(argv):
+    """Run ``python -m qcosmo.cli argv`` in a child process with this tree's qcosmo."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "qcosmo.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
 
 
 def read_json(path):
@@ -72,21 +80,59 @@ _FLAGS = {"exact": [*_BASE, "qubits", "basis"],
           "eoh": [*_BASE, "steps", "order"]}
 
 
-@pytest.mark.parametrize("argv, expected", [
-    (["exact", "--config", "c.json", "--preset", "table1", "--out", "d",
-      "--qubits", "4,4", "--basis", "fd"],
-     {"command": "exact", "fn": cli.cmd_exact, "config": "c.json", "preset": "table1",
-      "out": "d", "qubits": [4, 4], "basis": "fd"}),
-    (["vqe", "--budget=9", "--seed", "-1"],
-     {**dict.fromkeys(_FLAGS["vqe"]), "command": "vqe", "fn": cli.cmd_vqe, "budget": 9,
-      "seed": -1}),
-    (["eoh", "--preset", "fig13", "--steps", "7"],
-     {**dict.fromkeys(_FLAGS["eoh"]), "command": "eoh", "fn": cli.cmd_eoh, "preset": "fig13",
-      "steps": 7}),
-    (["reproduce", "table2"], {"command": "reproduce", "fn": cli.cmd_reproduce, "table": "table2"}),
-], ids=["exact", "vqe", "eoh", "reproduce"])
+# argv and the namespace each command's parser makes of it
+PARSES = {
+    "exact": (["exact", "--config", "c.json", "--preset", "table1", "--out", "d",
+               "--qubits", "4,4", "--basis", "fd"],
+              {"command": "exact", "fn": cli.cmd_exact, "config": "c.json", "preset": "table1",
+               "out": "d", "qubits": [4, 4], "basis": "fd"}),
+    "vqe": (["vqe", "--budget=9", "--seed", "-1"],
+            {**dict.fromkeys(_FLAGS["vqe"]), "command": "vqe", "fn": cli.cmd_vqe, "budget": 9,
+             "seed": -1}),
+    "eoh": (["eoh", "--preset", "fig13", "--steps", "7"],
+            {**dict.fromkeys(_FLAGS["eoh"]), "command": "eoh", "fn": cli.cmd_eoh,
+             "preset": "fig13", "steps": 7}),
+    "reproduce": (["reproduce", "table2"],
+                  {"command": "reproduce", "fn": cli.cmd_reproduce, "table": "table2"}),
+}
+
+
+@pytest.mark.parametrize("argv, expected", PARSES.values(), ids=PARSES)
 def test_parser_namespaces(argv, expected):
     assert vars(cli.build_parser().parse_args(argv)) == expected
+
+
+def test_main_parses_with_the_parser_built_at_import(tmp_path, monkeypatch, capsys):
+    """No call of main builds a parser, and no call leaves state in the one it shares."""
+    def refuse_to_build(*args, **kwargs):
+        raise AssertionError("main built a parser")
+
+    overflow = tmp_path / "overflow.json"
+    overflow.write_text(json.dumps({"eoh": {"n_qubits": 3, "tau_list": [1e308]}}))
+    batch = [
+        (["exact", "--preset", "table1", "--out", str(tmp_path / "a")], 0),
+        (["vqe", "--preset", "table1", "--budget", "5", "--out", str(tmp_path / "vqe")], 0),
+        (["eoh", "--preset", "fig13", "--out", str(tmp_path / "eoh")], 0),
+        (["reproduce", "table1"], 0),
+        (["exact", "--help"], 0),
+        (["vqe", "--preset", "table1", "--budget", "x"], 2),  # argv refusal
+        (["exact", "--out", str(tmp_path / "no-model")], 2),  # config refusal
+        (["eoh", "--config", str(overflow), "--out", str(tmp_path / "overflow")], 1),
+    ]
+    # every parser's constructor adds its -h through add_argument
+    with monkeypatch.context() as mp:
+        mp.setattr(argparse.ArgumentParser, "add_argument", refuse_to_build)
+        for argv, code in batch:
+            assert run(argv) == code, (argv, capsys.readouterr())
+    for argv, expected in PARSES.values():
+        assert vars(cli._PARSER.parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
+    # the REPEAT_RUNS rule, after the batch: the in-process bytes are a child process's
+    assert run(["exact", "--preset", "table1", "--out", str(tmp_path / "b")]) == 0
+    proc = run_child(["exact", "--preset", "table1", "--out", str(tmp_path / "c")])
+    assert proc.returncode == 0, proc.stderr
+    first = (tmp_path / "a" / "exact.json").read_bytes()
+    assert (tmp_path / "b" / "exact.json").read_bytes() == first
+    assert (tmp_path / "c" / "exact.json").read_bytes() == first
 
 
 def test_config_file_merges_into_preset_blocks(tmp_path):
@@ -174,9 +220,7 @@ def test_repeat_runs_write_identical_files(tmp_path, capsys, argv, config):
         argv = [*argv, "--config", str(cfg)]
     a, b = tmp_path / "a", tmp_path / "b"
     assert run([*argv, "--out", str(a)]) == 0
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-m", "qcosmo.cli", *argv, "--out", str(b)],
-                          capture_output=True, text=True, env=env, timeout=120)
+    proc = run_child([*argv, "--out", str(b)])
     assert proc.returncode == 0, proc.stderr
     names = sorted(p.name for p in a.iterdir())
     assert names and names == sorted(p.name for p in b.iterdir())
