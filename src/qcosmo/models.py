@@ -144,13 +144,34 @@ class MinisuperspaceParams:
 # classical potentials
 
 def starobinsky_potential(params: StarobinskyParams):
+    """V(phi) on an array, or on a Python float as a Python float.
+
+    A float takes one ``np.exp`` and then Python float arithmetic, which gives the bits of
+    the numpy-scalar expression at a fraction of its cost per call (the Friedmann stages
+    make one call each). Python floats raise ``OverflowError`` where numpy returns inf with
+    a RuntimeWarning: at phi = 3000, for example, (1 - e)^2 overflows.
+    """
+    m1_4, m2 = params.M1_4, params.M2
+
     def v(phi):
+        if type(phi) is float:
+            return m1_4 * (1.0 - float(np.exp(phi / m2))) ** 2
         return params.M1_4 * (1.0 - np.exp(phi / params.M2)) ** 2
     return v
 
 
 def starobinsky_potential_deriv(params: StarobinskyParams):
+    """dV/dphi on an array, or on a Python float as a Python float, as in
+    :func:`starobinsky_potential`. Where numpy returns inf with a RuntimeWarning, a float
+    overflows without one: a Python float product gives inf silently, and ``np.exp``
+    itself still warns above phi = 709 M2.
+    """
+    m1_4, m2 = params.M1_4, params.M2
+
     def dv(phi):
+        if type(phi) is float:
+            e = float(np.exp(phi / m2))
+            return -2.0 * m1_4 * (1.0 - e) * e / m2
         e = np.exp(phi / params.M2)
         return -2.0 * params.M1_4 * (1.0 - e) * e / params.M2
     return dv
@@ -377,10 +398,15 @@ def friedmann_evolve(
     The expansion rate is taken from the energy constraint at every stage,
     3 (adot/a)^2 = Lambda + phidot^2/2 + V(phi) - 3k/a^2 (positive branch),
     and the field obeys phidot' = -3 (adot/a) phidot - dV/dphi. Fixed-step
-    fourth-order Runge-Kutta. ``potential`` is also called once on the whole
-    field array, for the constraint residual |3 (adot/a)^2 - radicand|.
+    fourth-order Runge-Kutta on plain floats: ``potential`` and ``dpotential``
+    get a float at each stage (and ``potential`` once at t = 0), and ``potential``
+    is called once more on the whole field array, for the constraint residual
+    |3 (adot/a)^2 - radicand|. A state that overflows or turns non-finite raises
+    ``DomainError``, as does a radicand below -1e-8 after t = 0.
     """
     a0, phi0, phidot0 = (float(x) for x in initial)
+    if not (math.isfinite(a0) and math.isfinite(phi0) and math.isfinite(phidot0)):
+        raise InconsistentInitialDataError(f"initial data must be finite, got {initial!r}")
     if a0 <= 0:
         raise InconsistentInitialDataError("a0 must be positive")
     if dt <= 0:
@@ -392,50 +418,50 @@ def friedmann_evolve(
             h = 1e-6 * (1.0 + abs(phi))
             return (_v(phi + h) - _v(phi - h)) / (2.0 * h)
 
-    def radicand(a, phidot, v):
-        return Lambda + 0.5 * phidot**2 + v - 3.0 * k / a**2
-
-    def hubble(a, phi, phidot, initial_point=False):
-        rad = radicand(a, phidot, float(potential(phi)))
-        if rad < -1e-8 and initial_point:
-            raise InconsistentInitialDataError(
-                f"energy constraint violated at t=0 (radicand {rad:.3e})"
-            )
+    def stage(a, phi, phidot):
+        rad = Lambda + 0.5 * phidot**2 + float(potential(phi)) - 3.0 * k / a**2
         if rad < -1e-8:
             raise DomainError(f"expansion rate became imaginary (radicand {rad:.3e})")
-        return math.sqrt(max(rad, 0.0) / 3.0)
-
-    hubble(a0, phi0, phidot0, initial_point=True)
-
-    def rhs(a, phi, phidot):
-        h = hubble(a, phi, phidot)
+        h = math.sqrt(max(rad, 0.0) / 3.0)
         return a * h, phidot, -3.0 * h * phidot - float(dpotential(phi))
 
-    # the step runs on plain floats (numpy scalars and arrays of three cost more than the
-    # arithmetic), so the potential's values are converted where they enter it
+    # each step's (t, a, phi, phidot) goes into one row of an array of its final size,
+    # through a flat memoryview, which costs less than numpy item assignment
     n_steps = int(np.ceil((t1 - t0) / dt))
-    ts = np.empty(n_steps + 1)
-    traj = np.empty((n_steps + 1, 3))
+    out = np.empty((n_steps + 1, 4))
+    row = memoryview(out.reshape(-1))
     t, a, phi, phidot = t0, a0, phi0, phidot0
-    ts[0], traj[0] = t, (a, phi, phidot)
-    for i in range(1, n_steps + 1):
-        step = min(dt, t1 - t)
-        hs, s6 = 0.5 * step, step / 6.0
-        k1 = rhs(a, phi, phidot)
-        k2 = rhs(a + hs * k1[0], phi + hs * k1[1], phidot + hs * k1[2])
-        k3 = rhs(a + hs * k2[0], phi + hs * k2[1], phidot + hs * k2[2])
-        k4 = rhs(a + step * k3[0], phi + step * k3[1], phidot + step * k3[2])
-        a = a + s6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        phi = phi + s6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        phidot = phidot + s6 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-        t = t + step
-        ts[i], traj[i] = t, (a, phi, phidot)
-
-    a, phi, phidot = traj[:, 0], traj[:, 1], traj[:, 2]
-    rad = radicand(a, phidot, potential(phi))
+    row[0], row[1], row[2], row[3] = t, a, phi, phidot
+    try:
+        with np.errstate(all="ignore"):  # a non-finite state is refused below
+            rad = Lambda + 0.5 * phidot**2 + float(potential(phi)) - 3.0 * k / a**2
+            if rad < -1e-8:
+                raise InconsistentInitialDataError(
+                    f"energy constraint violated at t=0 (radicand {rad:.3e})"
+                )
+            for j in range(4, 4 * n_steps + 4, 4):
+                step = min(dt, t1 - t)
+                hs, s6 = 0.5 * step, step / 6.0
+                da1, dphi1, ddot1 = stage(a, phi, phidot)
+                da2, dphi2, ddot2 = stage(a + hs * da1, phi + hs * dphi1, phidot + hs * ddot1)
+                da3, dphi3, ddot3 = stage(a + hs * da2, phi + hs * dphi2, phidot + hs * ddot2)
+                da4, dphi4, ddot4 = stage(a + step * da3, phi + step * dphi3,
+                                          phidot + step * ddot3)
+                a = a + s6 * (da1 + 2 * da2 + 2 * da3 + da4)
+                phi = phi + s6 * (dphi1 + 2 * dphi2 + 2 * dphi3 + dphi4)
+                phidot = phidot + s6 * (ddot1 + 2 * ddot2 + 2 * ddot3 + ddot4)
+                t = t + step
+                row[j], row[j + 1], row[j + 2], row[j + 3] = t, a, phi, phidot
+            ts, a, phi, phidot = out.T
+            rad = Lambda + 0.5 * phidot**2 + potential(phi) - 3.0 * k / a**2
+    except (OverflowError, ZeroDivisionError):
+        raise DomainError(f"the Friedmann state left the float range after t={t:.6g}") from None
     imaginary = rad[rad < -1e-8]  # the RK4 stages never saw the final row
     if imaginary.size:
         raise DomainError(f"expansion rate became imaginary (radicand {imaginary[0]:.3e})")
+    finite = np.isfinite(out).all(axis=1) & np.isfinite(rad)
+    if not finite.all():
+        raise DomainError(f"the Friedmann state is not finite at t={ts[np.argmin(finite)]:.6g}")
     residual = np.abs(rad - 3.0 * np.sqrt(np.maximum(rad, 0.0) / 3.0) ** 2)
     return FriedmannTrajectory(ts, a, phi, phidot, residual)
 

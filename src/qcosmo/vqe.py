@@ -11,7 +11,7 @@ import numpy as np
 from . import optimizers, pauli
 from .bases import energies, require_hermitian
 from .circuits import AnsatzSpec, apply_circuit, efficient_su2_ansatz
-from .errors import ShapeError
+from .errors import DomainError, ShapeError
 from .optimizers import OptimizerConfig, OptimizerKind
 
 
@@ -44,13 +44,19 @@ def exact_ground(h: np.ndarray) -> float:
 
     An H of at least ``EXCHANGE_SPLIT_MIN_DIM`` rows that commutes bit for bit with the
     exchange of two equal tensor factors is solved as its exchange-even and exchange-odd
-    blocks, about half the size each; any other H takes one full eigvalsh.
+    blocks, about half the size each; any other H takes one full eigvalsh. A ground that
+    is not finite, as eigvalsh returns for entries near the float maximum, raises
+    ``DomainError``.
     """
     h = require_hermitian(h)
     blocks = _exchange_blocks(h) if h.shape[0] >= EXCHANGE_SPLIT_MIN_DIM else None
     if blocks is None:
-        return float(np.linalg.eigvalsh(h)[0])
-    return min(float(np.linalg.eigvalsh(b)[0]) for b in blocks)
+        ground = float(np.linalg.eigvalsh(h)[0])
+    else:
+        ground = min(float(np.linalg.eigvalsh(b)[0]) for b in blocks)
+    if not math.isfinite(ground):
+        raise DomainError(f"the exact ground is not finite ({ground})")
+    return ground
 
 
 def _exchange_blocks(h: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:

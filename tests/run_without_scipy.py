@@ -1,4 +1,5 @@
-"""Import every qcosmo module and run each wdw function with scipy blocked.
+"""Import every qcosmo module and run each wdw function, the Starobinsky Friedmann
+integration and a tunneling report with scipy blocked.
 
     PYTHONPATH=src python tests/run_without_scipy.py
 
@@ -14,7 +15,7 @@ import sys
 sys.modules["scipy"] = None
 
 import qcosmo  # noqa: E402
-from qcosmo import models, wdw  # noqa: E402
+from qcosmo import models, tunneling, wdw  # noqa: E402
 
 for info in pkgutil.iter_modules(qcosmo.__path__):
     importlib.import_module(f"qcosmo.{info.name}")
@@ -32,6 +33,13 @@ values = [
     wdw.wdw_solve_ode(models.MinisuperspaceKind.INV_LIOUVILLE, models.MinisuperspaceParams(),
                       1.0, (-1.0, 0.0), num_points=11).residual,
 ]
+staro = models.StarobinskyParams()
+traj = models.friedmann_evolve(  # the benchmark's propagation run
+    models.starobinsky_potential(staro), (1.0, -10.0, 0.0), t_span=(0.0, 120.0), dt=0.01,
+    dpotential=models.starobinsky_potential_deriv(staro))
+values += [traj.a[-1], traj.phi[-1], traj.max_constraint_residual]
+values += tunneling.report(
+    models.dark_energy_potential(models.DarkEnergySingleRadiusParams()), 5.0).values()
 assert all(abs(v) < float("inf") for v in values), values
 assert not any(name.split(".")[0] == "scipy" for name, mod in sys.modules.items() if mod), \
     "a scipy module was loaded"

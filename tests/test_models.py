@@ -369,19 +369,98 @@ def _numpy_starobinsky(params):
     return v, dv
 
 
-@pytest.mark.parametrize("with_derivative", [True, False])
+@pytest.mark.parametrize("with_derivative", [True, False, "dark-energy"])
 def test_friedmann_bit_identical_to_numpy_scalar_loop(with_derivative):
-    """Starobinsky with its derivative, and with the finite-difference fallback."""
-    run = dict(_FRIEDMANN_RUNS["starobinsky"])
-    potential, dpotential = _numpy_starobinsky(_STARO)
-    frozen = {**run, "potential": potential, "dpotential": dpotential}
-    if not with_derivative:
+    """Starobinsky with its derivative, and with the finite-difference fallback. The
+    dark-energy case runs a potential that returns numpy scalars, through the fallback,
+    so it pins the stage function alone against the frozen loop."""
+    if with_derivative == "dark-energy":
+        run = frozen = {"potential": models.dark_energy_potential(DarkEnergySingleRadiusParams()),
+                        "initial": (1.0, 5.0, 0.0), "Lambda": 1.0, "t_span": (0.0, 50.0),
+                        "dt": 0.01}
+    else:
+        run = dict(_FRIEDMANN_RUNS["starobinsky"])
+        potential, dpotential = _numpy_starobinsky(_STARO)
+        frozen = {**run, "potential": potential, "dpotential": dpotential}
+    if with_derivative is False:
         del run["dpotential"], frozen["dpotential"]
         run["t_span"] = frozen["t_span"] = (0.0, 100.0)
     traj = models.friedmann_evolve(**run)
     oracle = _friedmann_numpy_scalar_loop(**frozen)
     for got, want in zip((traj.t, traj.a, traj.phi, traj.phi_dot), oracle):
         assert np.array_equal(got, want)
+
+
+# the field range that the benchmark's Starobinsky run visits, from -10 to about 0.31
+_STARO_FLOATS = [0.0, -0.0, *np.random.default_rng(31).uniform(-10.5, 1.0, 10_000).tolist()]
+
+
+def test_starobinsky_float_path_matches_numpy_scalars():
+    """A Python float takes Python float arithmetic and gives the numpy-scalar bits."""
+    v, dv = models.starobinsky_potential(_STARO), models.starobinsky_potential_deriv(_STARO)
+    frozen_v, frozen_dv = _numpy_starobinsky(_STARO)
+    for fast, frozen in ((v, frozen_v), (dv, frozen_dv)):
+        got = [fast(phi) for phi in _STARO_FLOATS]
+        assert all(type(x) is float for x in got)
+        assert [x.hex() for x in got] == [float(frozen(phi)).hex() for phi in _STARO_FLOATS]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_starobinsky_array_path_is_unchanged(dtype):
+    phi = np.array(_STARO_FLOATS, dtype=dtype)
+    v, dv = models.starobinsky_potential(_STARO), models.starobinsky_potential_deriv(_STARO)
+    for fast, frozen in zip((v, dv), _numpy_starobinsky(_STARO)):
+        got, want = fast(phi), frozen(phi)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+def test_starobinsky_float_overflow_raises():
+    """Where numpy would return inf with a RuntimeWarning, (1 - e)^2 on floats raises."""
+    with pytest.raises(OverflowError):
+        models.starobinsky_potential(_STARO)(3000.0)
+
+
+def test_friedmann_potential_calls():
+    """One float call of V at t = 0, then one of V and one of dV per RK4 stage, and one
+    array call of V for the residual."""
+    calls = {"v": [], "dv": []}
+
+    def counted(name, f):
+        def wrapped(phi):
+            calls[name].append(type(phi))
+            return f(phi)
+        return wrapped
+
+    n_steps = 250
+    models.friedmann_evolve(counted("v", models.starobinsky_potential(_STARO)),
+                            (1.0, -10.0, 0.0), t_span=(0.0, n_steps * 0.01), dt=0.01,
+                            dpotential=counted("dv", models.starobinsky_potential_deriv(_STARO)))
+    assert calls["v"] == [float] * (4 * n_steps + 1) + [np.ndarray]
+    assert calls["dv"] == [float] * (4 * n_steps)
+
+
+@pytest.mark.parametrize("phi0", [300.0, 500.0])
+def test_friedmann_overflowing_state_is_a_domain_error(phi0):
+    """From phi0 = 300 the state turns to NaN, and from 500 a float overflows; neither
+    may return a trajectory or print a RuntimeWarning (which this suite makes an error)."""
+    with pytest.raises(DomainError, match="t="):
+        models.friedmann_evolve(models.starobinsky_potential(_STARO), (1.0, phi0, 0.0),
+                                t_span=(0.0, 1.0), dt=0.01,
+                                dpotential=models.starobinsky_potential_deriv(_STARO))
+
+
+def test_friedmann_underflowing_scale_factor_is_a_domain_error():
+    """a0^2 underflows to zero in the curvature term."""
+    with pytest.raises(DomainError, match="float range"):
+        models.friedmann_evolve(lambda phi: 0.0, (1e-200, 0.0, 0.0), t_span=(0.0, 1.0), dt=0.1)
+
+
+@pytest.mark.parametrize("initial", [(math.nan, 0.0, 0.0), (1.0, 0.0, math.inf)],
+                         ids=["nan-a0", "inf-phidot0"])
+def test_friedmann_rejects_non_finite_initial_data(initial):
+    with pytest.raises(InconsistentInitialDataError, match="finite"):
+        models.friedmann_evolve(lambda phi: 0.0, initial, t_span=(0.0, 1.0), dt=0.01)
 
 
 def test_friedmann_checks_final_row():

@@ -6,7 +6,7 @@ import pytest
 from qcosmo import bases, circuits, models, pauli, presets, vqe
 from qcosmo.bases import require_hermitian
 from qcosmo.circuits import AnsatzSpec, apply_circuit, efficient_su2_ansatz, expectation_dense
-from qcosmo.errors import HermiticityError
+from qcosmo.errors import DomainError, HermiticityError
 from qcosmo.vqe import OptimizerConfig, OptimizerKind
 
 
@@ -36,6 +36,16 @@ def test_exact_ground_dark_energy_64():
 def test_exact_ground_rejects_non_hermitian():
     with pytest.raises(HermiticityError):
         vqe.exact_ground(np.array([[0, 1], [0, 0]], dtype=complex))
+
+
+@pytest.mark.parametrize("h", [np.array([[-1.7e308, 1.7e308], [1.7e308, 1.0]]),
+                               np.array([[-1.7e308, 1.7e308j], [-1.7e308j, 1.0]])],
+                         ids=["real", "complex"])
+def test_exact_ground_refuses_a_non_finite_ground(h):
+    """Finite entries near the float maximum pass require_hermitian, and eigvalsh
+    overflows on them without a warning."""
+    with pytest.raises(DomainError, match="not finite"):
+        vqe.exact_ground(h)
 
 
 def swap_factors(m):
