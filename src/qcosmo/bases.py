@@ -18,6 +18,10 @@ products of these single-mode operators.
 a complex matrix with no imaginary part as its real part, which callers use. So
 the oscillator P^2 is real (two imaginary factors), while the position-basis P^2
 keeps the rounding-level imaginary part of its Fourier product and stays complex.
+
+The last section splits an operator along the exact symmetries it has (an involutive
+index permutation, conserved Z bits, a real form), for ``vqe.exact_ground`` and
+``evolution``.
 """
 
 from __future__ import annotations
@@ -170,3 +174,159 @@ def apply_scalar_function(op: np.ndarray, f) -> np.ndarray:
         return np.diag(f(np.real(np.diagonal(op))))
     w, u = np.linalg.eigh(op)
     return hermitize((u * f(w)) @ u.conj().T)
+
+
+# ---------------------------------------------------------------------------
+# exact symmetry sectors
+#
+# Every detector here is exact: an operator is split only along a symmetry it has bit for
+# bit, never to a tolerance. A pairing (a, b, f) is an involutive index permutation P given
+# by its 2-cycles (a[k], b[k]) and its fixed points f: a and b are index arrays or slices
+# (slices index without a copy), f an index array.
+
+def pairing_blocks(h: np.ndarray, pairing) -> tuple[np.ndarray, np.ndarray]:
+    """The P-even and P-odd blocks of an H that commutes with the pairing P bit for bit.
+
+    The even sector has the basis e_f for each fixed point and (e_a + e_b)/sqrt(2) for each
+    2-cycle, the odd sector (e_a - e_b)/sqrt(2). The symmetry gives H[b, b'] = H[a, a'] and
+    H[b, a'] = H[a, b'], so the even block is [[H_ff, sqrt(2) H_fa], [sqrt(2) H_af, H_aa + H_ab]]
+    and the odd block H_aa - H_ab.
+    """
+    a, b, f = pairing
+    rows = h[a]
+    direct, crossed = rows[:, a], rows[:, b]
+    k = f.size
+    even = np.empty((k + direct.shape[0],) * 2, dtype=h.dtype)
+    np.add(direct, crossed, out=even[k:, k:])
+    if k:
+        fixed = h[f]
+        even[:k, :k] = fixed[:, f]
+        even[:k, k:] = math.sqrt(2) * fixed[:, a]
+        even[k:, :k] = math.sqrt(2) * rows[:, f]
+    return even, direct - crossed
+
+
+def pairing_split(psi: np.ndarray, pairing) -> tuple[np.ndarray, np.ndarray]:
+    """A state's components in the even and odd bases of :func:`pairing_blocks`."""
+    a, b, f = pairing
+    top, partner = psi[a], psi[b]
+    even = np.concatenate([psi[f], (top + partner) / np.sqrt(2.0)])
+    return even, (top - partner) / np.sqrt(2.0)
+
+
+def pairing_join(even: np.ndarray, odd: np.ndarray, pairing) -> np.ndarray:
+    """The state whose :func:`pairing_split` is (even, odd)."""
+    a, b, f = pairing
+    pair = even[f.size:]
+    psi = np.empty(f.size + 2 * pair.size, dtype=np.result_type(even, odd))
+    psi[f] = even[:f.size]
+    psi[a] = (pair + odd) / np.sqrt(2.0)
+    psi[b] = (pair - odd) / np.sqrt(2.0)
+    return psi
+
+
+def reflection(parts):
+    """The grid reversal i <-> dim - 1 - i as a pairing, if every part equals ``p[::-1, ::-1]``.
+
+    At an odd dimension, or if any part misses the reversal by a bit, None.
+    """
+    dim = parts[0].shape[0]
+    if dim % 2 or not all(np.array_equal(p, p[::-1, ::-1]) for p in parts):
+        return None
+    m = dim // 2
+    return slice(0, m), slice(dim - 1, m - 1, -1), np.arange(0)
+
+
+def exchange(h: np.ndarray):
+    """The exchange |ij> <-> |ji> of two equal tensor factors as a pairing, if H commutes with it.
+
+    The test is exact: ``h.reshape(d, d, d, d)`` must equal its (1, 0, 3, 2) transpose. The
+    2-cycles pair |ij> with |ji> for i < j, and the fixed points are the |ii>.
+    """
+    d = math.isqrt(h.shape[0])
+    if d * d != h.shape[0]:
+        return None
+    t = h.reshape(d, d, d, d)
+    if not np.array_equal(t, t.transpose(1, 0, 3, 2)):
+        return None
+    i, j = np.triu_indices(d, 1)
+    return i * d + j, j * d + i, np.arange(d) * (d + 1)
+
+
+def xor_classes(nonzero: np.ndarray) -> np.ndarray:
+    """Whether some entry (i, j) with i ^ j = k is True, for each k, of a 2^n x 2^n mask.
+
+    A trailing axis (say real and imaginary parts) is carried through: a (2^n, 2^n, c) mask
+    gives (2^n, c). One qubit per pass, from the most significant: the row bit and the column
+    bit become the row bit and their XOR (the column bit reversed where the row bit is 1), and
+    the row bit is OR-reduced away. Each pass reads half of what the last one did, and no
+    index table is built.
+    """
+    dim, tail = nonzero.shape[0], nonzero.shape[2:]
+    cls = nonzero.reshape(2, dim // 2, 1, 2, -1)
+    while True:
+        cls = cls[0] | cls[1, :, :, ::-1]  # (row bits left, XOR bits, column bit, rest)
+        rows, done, _, rest = cls.shape
+        if rows == 1:
+            return cls.reshape(dim, *tail)
+        cls = cls.reshape(2, rows // 2, 2 * done, 2, rest // 2)
+
+
+def parity_blocks(h: np.ndarray, classes: np.ndarray):
+    """H's blocks over its conserved Z bits, or None if it conserves none.
+
+    Bit q is conserved when no class k = i ^ j of a nonzero H[i, j] (``classes``, from
+    :func:`xor_classes`) has bit q set. With c conserved bits H is 2^c blocks, each gathered
+    by the indices that share one value of those bits.
+    """
+    dim, moved = h.shape[0], 0
+    for k in np.flatnonzero(classes).tolist():  # no ufunc reduce or sort: their code pages
+        moved |= k                               # would add to the peak RSS of a run
+    conserved = (dim - 1) & ~moved
+    if not conserved:
+        return None
+    key = np.arange(dim) & conserved
+    return [h[idx][:, idx] for idx in (np.flatnonzero(key == v) for v in range(dim)
+                                       if not v & ~conserved)]
+
+
+def real_form(h: np.ndarray, re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """U^dag H U in real arithmetic when a complex H allows it, else H itself.
+
+    ``re`` and ``im`` are the :func:`xor_classes` of H's real and imaginary parts. If a bit
+    set S has popcount(k & S) even for every class of the real part and odd for every class
+    of the imaginary part, H commutes with the antiunitary Z_S K (K complex conjugation).
+    Then U = diag(u), with u_i = 1 when popcount(i & S) is even and i when odd, makes H real:
+    each entry of U^dag H U is exactly Re H, -Im H or +Im H of the same entry.
+    """
+    s = _real_form_bits(re, im)
+    if s is None:
+        return h
+    p = (np.bitwise_count(np.arange(h.shape[0]) & s) & 1).astype(np.int8)
+    # in the even-parity classes Im H is zero, in the odd ones Re H: no entry is rounded
+    r = h.imag * np.subtract.outer(p, p)  # an int8 sign table: an eighth of a float one
+    r += h.real
+    return r
+
+
+def _real_form_bits(re: np.ndarray, im: np.ndarray):
+    """The bit set S of :func:`real_form` as an int, or None if none exists.
+
+    Gaussian elimination over GF(2) on one equation per occupied class k: the bits of k,
+    with its required parity in bit n. A free bit is left out of S.
+    """
+    n = re.size.bit_length() - 1
+    rows = np.concatenate([np.flatnonzero(re), np.flatnonzero(im) | 1 << n])
+    pivots = []
+    for q in range(n):
+        has = (rows >> q & 1).astype(bool)
+        if has.any():
+            pivot = int(rows[has.argmax()])
+            rows = np.where(has, rows ^ pivot, rows)
+            pivots.append((q, pivot))
+    if (rows >> n).any():  # some combination of classes asks for parity 0 and 1 at once
+        return None
+    s = 0
+    for q, pivot in reversed(pivots):  # a pivot has no bit below q set
+        s |= ((pivot >> n) ^ (pivot & s).bit_count()) % 2 << q
+    return s

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import BasisKind, build_momentum_squared, build_position, is_diagonal, require_hermitian
+from .bases import (BasisKind, build_momentum_squared, build_position, is_diagonal,
+                    pairing_blocks, pairing_join, pairing_split, reflection, require_hermitian)
 from .errors import DomainError, ShapeError
 from .models import MinisuperspaceKind, MinisuperspaceParams
 
@@ -86,16 +87,16 @@ def _eigh(p: np.ndarray):
 
 
 def _split(parts):
-    """A :func:`_split_sector` per reflection sector when every part has them, else one of all.
+    """The reflection pairing and a :func:`_split_sector` per sector, or None and one of all.
 
-    At dimension 2m, a part p = JpJ bit for bit (J the reversal) acts on the sectors
-    (x; +-Jx)/sqrt(2) as the m x m blocks A +- BJ, with A = p[:m, :m] and B = p[:m, m:].
+    At dimension 2m, every part p = JpJ bit for bit (J the reversal, ``bases.reflection``)
+    acts on the sectors (x; +-Jx)/sqrt(2) as the m x m blocks of ``bases.pairing_blocks``.
     """
-    m, odd = divmod(parts[0].shape[0], 2)
-    if odd or not all(np.array_equal(p, p[::-1, ::-1]) for p in parts):
-        return [_split_sector(parts)]
-    blocks = [(p[:m, :m], p[:m, m:][:, ::-1]) for p in parts]
-    return [_split_sector([a + sign * bj for a, bj in blocks]) for sign in (1, -1)]
+    pairing = reflection(parts)
+    if pairing is None:
+        return None, [_split_sector(parts)]
+    blocks = [pairing_blocks(p, pairing) for p in parts]
+    return pairing, [_split_sector([b[sector] for b in blocks]) for sector in (0, 1)]
 
 
 def _split_sector(parts):
@@ -111,19 +112,18 @@ def _split_sector(parts):
     return [w for w, _ in spectra], u0, overlaps
 
 
-def _trotter(sectors, t: float, steps: int, order: int, psi: np.ndarray) -> np.ndarray:
-    """The Trotter product of each sector of :func:`_split` applied to its share of ``psi``.
+def _trotter(split, t: float, steps: int, order: int, psi: np.ndarray) -> np.ndarray:
+    """The Trotter product of each sector of a :func:`_split` applied to its share of ``psi``.
 
-    Two sectors take the state in as e, o = (top +- J bottom)/sqrt(2) and give it back as
-    ((e + o)/sqrt(2), J(e - o)/sqrt(2)); neither step is a matrix product.
+    Two sectors take the state in and give it back through ``bases.pairing_split`` and
+    ``bases.pairing_join``; neither is a matrix product.
     """
-    if len(sectors) == 1:
+    pairing, sectors = split
+    if pairing is None:
         return _trotter_sector(sectors[0], t, steps, order, psi)
-    m = psi.size // 2
-    top, jbottom = psi[:m], psi[m:][::-1]
-    e = _trotter_sector(sectors[0], t, steps, order, (top + jbottom) / np.sqrt(2.0))
-    o = _trotter_sector(sectors[1], t, steps, order, (top - jbottom) / np.sqrt(2.0))
-    return np.concatenate([e + o, (e - o)[::-1]]) / np.sqrt(2.0)
+    shares = pairing_split(psi, pairing)
+    return pairing_join(*(_trotter_sector(sector, t, steps, order, share)
+                          for sector, share in zip(sectors, shares)), pairing)
 
 
 def _trotter_sector(split, t: float, steps: int, order: int, psi: np.ndarray) -> np.ndarray:

@@ -402,7 +402,8 @@ def friedmann_evolve(
     get a float at each stage (and ``potential`` once at t = 0), and ``potential``
     is called once more on the whole field array, for the constraint residual
     |3 (adot/a)^2 - radicand|. A state that overflows or turns non-finite raises
-    ``DomainError``, as does a radicand below -1e-8 after t = 0.
+    ``DomainError``, as does a radicand below -1e-8 after t = 0, and so does a ``dt``,
+    ``t_span`` or step count (t1 - t0)/dt that is not finite.
     """
     a0, phi0, phidot0 = (float(x) for x in initial)
     if not (math.isfinite(a0) and math.isfinite(phi0) and math.isfinite(phidot0)):
@@ -412,6 +413,9 @@ def friedmann_evolve(
     if dt <= 0:
         raise DomainError("dt must be positive")
     t0, t1 = (0.0, float(t_span)) if np.isscalar(t_span) else map(float, t_span)
+    span_steps = (t1 - t0) / dt  # not finite if t0 or t1 is not, or if the count overflows
+    if not (math.isfinite(dt) and math.isfinite(span_steps)):
+        raise DomainError(f"dt = {dt} and t_span = ({t0}, {t1}) must give a finite step count")
 
     if dpotential is None:
         def dpotential(phi, _v=potential):
@@ -427,7 +431,7 @@ def friedmann_evolve(
 
     # each step's (t, a, phi, phidot) goes into one row of an array of its final size,
     # through a flat memoryview, which costs less than numpy item assignment
-    n_steps = int(np.ceil((t1 - t0) / dt))
+    n_steps = int(np.ceil(span_steps))
     out = np.empty((n_steps + 1, 4))
     row = memoryview(out.reshape(-1))
     t, a, phi, phidot = t0, a0, phi0, phidot0

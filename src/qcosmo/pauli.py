@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bases import MAX_QUBITS, energies, require_hermitian
-from .errors import HermiticityError, ShapeError
+from .errors import DomainError, HermiticityError, ShapeError
 
 ZERO_TOL = 1e-12
 
@@ -188,7 +188,10 @@ def _labels(indices: np.ndarray, n: int) -> list[str]:
 
 
 def decompose(h: np.ndarray) -> PauliSum:
-    """Expand a Hermitian matrix in the Pauli basis, dropping |c| <= ``ZERO_TOL`` (absolute)."""
+    """Expand a Hermitian matrix in the Pauli basis, dropping |c| <= ``ZERO_TOL`` (absolute).
+
+    A coefficient that overflows the float range raises ``DomainError``.
+    """
     h = np.asarray(h)
     n = _n_qubits_of(h.shape[0])
     h = require_hermitian(h)  # real when it has no imaginary part: then the transform is real
@@ -196,11 +199,15 @@ def decompose(h: np.ndarray) -> PauliSum:
     # a complex H's real and imaginary parts straight into the two contiguous halves
     order = [ax for q in range(n) for ax in (q, n + q)]
     parts = (h.real, h.imag) if np.iscomplexobj(h) else (h,)
-    x = _pauli_transform((np.ascontiguousarray(p.reshape((2,) * (2 * n)).transpose(order))
-                          .reshape(-1) for p in parts), n) / h.shape[0]
-    # |phase| = 1: the kept set is the same before the phase; a dropped term's
-    # imaginary part (<= ZERO_TOL) could not fail the check below
-    kept = np.flatnonzero(np.abs(x) > ZERO_TOL)
+    with np.errstate(all="ignore"):  # an overflow is refused below, not printed
+        x = _pauli_transform((np.ascontiguousarray(p.reshape((2,) * (2 * n)).transpose(order))
+                              .reshape(-1) for p in parts), n) / h.shape[0]
+        finite = np.isfinite(x.view(np.float64)).all()  # as floats: half the time of complex
+        # |phase| = 1: the kept set is the same before the phase; a dropped term's
+        # imaginary part (<= ZERO_TOL) could not fail the check below
+        kept = np.flatnonzero(np.abs(x) > ZERO_TOL)
+    if not finite:  # a NaN coefficient fails the threshold and would drop out silently
+        raise DomainError("a Pauli coefficient is not finite: the transform overflowed")
     coeffs = _phase(kept, n, 1j) * x[kept]
     max_imag = np.max(np.abs(coeffs.imag), initial=0.0)
     if max_imag > 1e-10 * max(1.0, np.max(np.abs(coeffs), initial=0.0)):

@@ -9,7 +9,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import optimizers, pauli
-from .bases import energies, require_hermitian
+from .bases import (energies, exchange, pairing_blocks, parity_blocks, real_form,
+                    require_hermitian, xor_classes)
 from .circuits import AnsatzSpec, apply_circuit, efficient_su2_ansatz
 from .errors import DomainError, ShapeError
 from .optimizers import OptimizerConfig, OptimizerKind
@@ -31,58 +32,53 @@ _MINIMIZERS = {
 }
 
 
-# The smallest dimension at which exact_ground splits a mode-exchange symmetric H. On a
-# 2-core Intel Xeon host (OpenBLAS 0.3.31 on one thread; medians of 101 calls, three
-# processes) gathering and solving the two blocks lost to one eigvalsh at 16 rows
-# (0.012-0.018 -> 0.068-0.095 ms) and at 64 (0.15-0.19 -> 0.19-0.26 ms), and won at 256:
-# table4-256 2.6-3.6 -> 1.8-2.3 ms, table5 (complex) 6.6-9.5 -> 2.9-3.7 ms.
-EXCHANGE_SPLIT_MIN_DIM = 256
+# The smallest dimension at which exact_ground splits H along a symmetry. On a 2-core Intel
+# Xeon host (OpenBLAS 0.3.31 on one thread; medians of 101 calls, three processes) gathering
+# and solving the two exchange blocks lost to one eigvalsh at 16 rows (0.012-0.018 -> 0.068-0.095
+# ms) and at 64 (0.15-0.19 -> 0.19-0.26 ms), and won at 256: table4-256 2.6-3.6 -> 1.8-2.3 ms,
+# table5 (complex) 6.6-9.5 -> 2.9-3.7 ms. The four parity blocks of table4-64, scan included,
+# read 0.120-0.124 ms against 0.143-0.155 ms for one eigvalsh: one floor for every split keeps
+# that small win out, and keeps the scans off every 64-row H without a symmetry (table2-6q).
+SPLIT_MIN_DIM = 256
 
 
 def exact_ground(h: np.ndarray) -> float:
     """Smallest eigenvalue of a Hermitian H, in real arithmetic when H has no imaginary part.
 
-    An H of at least ``EXCHANGE_SPLIT_MIN_DIM`` rows that commutes bit for bit with the
-    exchange of two equal tensor factors is solved as its exchange-even and exchange-odd
-    blocks, about half the size each; any other H takes one full eigvalsh. A ground that
-    is not finite, as eigvalsh returns for entries near the float maximum, raises
+    An H of at least ``SPLIT_MIN_DIM`` rows is solved as the blocks of :func:`_sector_blocks`,
+    and the ground is the smallest block ground; any other H takes one full eigvalsh. A ground
+    that is not finite, as eigvalsh returns for entries near the float maximum, raises
     ``DomainError``.
     """
     h = require_hermitian(h)
-    blocks = _exchange_blocks(h) if h.shape[0] >= EXCHANGE_SPLIT_MIN_DIM else None
-    if blocks is None:
-        ground = float(np.linalg.eigvalsh(h)[0])
-    else:
-        ground = min(float(np.linalg.eigvalsh(b)[0]) for b in blocks)
+    blocks = _sector_blocks(h) if h.shape[0] >= SPLIT_MIN_DIM else [h]
+    ground = min(float(np.linalg.eigvalsh(b)[0]) for b in blocks)
     if not math.isfinite(ground):
         raise DomainError(f"the exact ground is not finite ({ground})")
     return ground
 
 
-def _exchange_blocks(h: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """The exchange-even and exchange-odd blocks of a d^2 x d^2 H, or None without the symmetry.
+def _sector_blocks(h: np.ndarray) -> list[np.ndarray]:
+    """Blocks whose spectra together are H's, along the exact symmetries H has, in order.
 
-    The test is exact: ``h.reshape(d, d, d, d)`` must equal its (1, 0, 3, 2) transpose. The
-    even block is spanned by the d states |ii> and (|ij> + |ji>)/sqrt(2) for i < j, the odd
-    block by (|ij> - |ji>)/sqrt(2). With a = |ij> and b = |ji>, the symmetry gives
-    H[b, b'] = H[a, a'] and H[b, a'] = H[a, b'], so a pair-pair entry is H[a, a'] +- H[a, b']
-    with weight 1, and an entry between |ii> and a pair state is sqrt(2) H[ii, a'].
+    On 2^n rows a complex H first takes its real form (``bases.real_form``), if it has one,
+    and then its conserved Z bits give 2^c blocks (``bases.parity_blocks``). With none, the
+    mode exchange gives two (``bases.exchange``); with neither, H is one block.
     """
-    d = math.isqrt(h.shape[0])
-    if d * d != h.shape[0]:
-        return None
-    t = h.reshape(d, d, d, d)
-    if not np.array_equal(t, t.transpose(1, 0, 3, 2)):
-        return None
-    i, j = np.triu_indices(d, 1)
-    a, b, f = i * d + j, j * d + i, np.arange(d) * (d + 1)
-    direct, crossed = h[np.ix_(a, a)], h[np.ix_(a, b)]
-    even = np.empty((d + a.size,) * 2, dtype=h.dtype)
-    even[:d, :d] = h[np.ix_(f, f)]
-    even[:d, d:] = math.sqrt(2) * h[np.ix_(f, a)]
-    even[d:, :d] = math.sqrt(2) * h[np.ix_(a, f)]
-    even[d:, d:] = direct + crossed
-    return even, direct - crossed
+    blocks = None
+    if not h.shape[0] & (h.shape[0] - 1):  # a Z bit is a bit of a qubit index
+        if np.iscomplexobj(h):
+            parts = np.ascontiguousarray(h).view(np.float64).reshape(*h.shape, 2)  # re, im
+            classes = xor_classes(parts != 0)
+            h = real_form(h, classes[:, 0], classes[:, 1])
+            classes = classes.any(axis=1)
+        else:
+            classes = xor_classes(h != 0)
+        blocks = parity_blocks(h, classes)
+    if blocks is None:
+        pairing = exchange(h)
+        blocks = [h] if pairing is None else list(pairing_blocks(h, pairing))
+    return blocks
 
 
 def run_vqe(hamiltonian, ansatz: AnsatzSpec, opt: OptimizerConfig) -> VqeResult:
@@ -95,7 +91,8 @@ def run_vqe(hamiltonian, ansatz: AnsatzSpec, opt: OptimizerConfig) -> VqeResult:
     The returned trace holds the best-so-far energy at each evaluation. The
     optimizer hands the energy a stack of parameter vectors, whose circuits
     run as one sweep and whose energies come from one ``bases.energies``
-    call; every point of a stack gets the stack's end time in ``eval_times``.
+    call; every point of a stack gets the stack's end time in ``eval_times``. A stack
+    with an energy that is not finite raises ``DomainError``.
     """
     circuit = efficient_su2_ansatz(ansatz)
     if isinstance(hamiltonian, pauli.PauliSum):
@@ -114,11 +111,17 @@ def run_vqe(hamiltonian, ansatz: AnsatzSpec, opt: OptimizerConfig) -> VqeResult:
     eval_times: list[float] = []
 
     def energy(thetas):
-        values = energies(h, apply_circuit(circuit, thetas)).tolist()
+        values = energies(h, apply_circuit(circuit, thetas))
+        if not np.isfinite(values).all():
+            raise DomainError("a circuit energy is not finite: <psi|H|psi> overflowed")
+        values = values.tolist()
         eval_times.extend([time.perf_counter() - start] * len(values))
         return values
 
-    res = _MINIMIZERS[opt.kind](energy, theta0, budget=opt.budget, tol=opt.tol)
+    # near the float maximum an energy, or the optimizer's step from finite energies, can
+    # overflow: energy() refuses what is not finite, so no overflow warning is printed
+    with np.errstate(all="ignore"):
+        res = _MINIMIZERS[opt.kind](energy, theta0, budget=opt.budget, tol=opt.tol)
     best = np.minimum.accumulate(res.history).tolist()
     return VqeResult(
         energy=res.fun,

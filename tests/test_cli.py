@@ -15,7 +15,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcosmo import cli, config, evolution, models, presets, vqe
+from qcosmo import cli, config, evolution, models, pauli, presets, vqe
+from qcosmo.circuits import AnsatzSpec
+from qcosmo.errors import QcosmoError
 
 
 def run(argv):
@@ -390,6 +392,10 @@ REFUSALS = {
                            "phase max|w t| = 2.96e+302 at t = 0.1 is above 1e+12"),
     "phase-tau-1e300": (["eoh"], {"eoh": {"tau_list": [-1e300]}}, 1,
                         "phase max|w t| = 1.6e+301 at t = -1e+300 is above 1e+12"),
+    # a finite H whose Pauli transform overflows: refused before the threshold drops NaN terms
+    "pauli-overflow": (["exact"], {"model": "starobinsky", "qubits": [4],
+                                   "params": {"M1_4": 1.7e308}}, 1,
+                       "a Pauli coefficient is not finite: the transform overflowed"),
 }
 
 # the solvers a config error must come before
@@ -452,6 +458,53 @@ def refuse(tmp_path, argv, config, code, message, *, out="out", built=False):
 @pytest.mark.parametrize("argv, config, code, message", REFUSALS.values(), ids=REFUSALS)
 def test_refusals(tmp_path, argv, config, code, message):
     refuse(tmp_path, argv, config, code, message)
+
+
+def _float_edges():
+    """Each model param (per minisuperspace kind) at +-the float maximum and +-its square root,
+    on 4 qubits in total."""
+    big = sys.float_info.max
+    for model, (_, _, modes) in models._MODELS.items():
+        kinds = [k.value for k in models.MinisuperspaceKind] if model == "minisuperspace" else [None]
+        for kind in kinds:
+            for name in models.params_schema(model):
+                for value in (big, -big, math.sqrt(big), -math.sqrt(big)):
+                    params = {name: value} if kind is None else {name: value, "kind": kind}
+                    yield pytest.param({"model": model, "qubits": [4 // modes] * modes,
+                                        "params": params},
+                                       id=f"{kind or model}-{name}-{value:.3g}")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("cfg", _float_edges())
+def test_float_edges_run_or_fail_cleanly(tmp_path, cfg):
+    """With warnings as errors, exact and vqe (budget 5) exit 0 with finite values or exit 1
+    with one numerical-failure line, and the library calls return finite values or raise."""
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    for command, key in (("exact", "exact_ground"), ("vqe", "vqe")):
+        out = tmp_path / command
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            got = run([command, "--config", str(tmp_path / "cfg.json"), "--out", str(out),
+                       *(["--budget", "5"] if command == "vqe" else [])])
+        if got == 0:
+            payload = read_json(out / f"{command}.json")
+            assert all(math.isfinite(payload[k]) for k in (key, "exact_ground", "exact")
+                       if k in payload)
+        else:
+            lines = err.getvalue().splitlines()
+            assert got == 1 and len(lines) == 1 and lines[0].startswith("numerical failure: ")
+    try:
+        h = models.build_model(cfg)[0]
+    except (QcosmoError, ArithmeticError):
+        return
+    n = int(h.shape[0]).bit_length() - 1
+    for call in (lambda: vqe.exact_ground(h), lambda: pauli.decompose(h).coeff,
+                 lambda: vqe.run_vqe(h, AnsatzSpec(n, 1), vqe.OptimizerConfig(budget=5)).energy):
+        try:
+            assert np.isfinite(call()).all()
+        except (QcosmoError, ArithmeticError):
+            pass
 
 
 def test_limits_accept_their_boundary():

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from qcosmo import evolution, models, pauli, vqe
+from qcosmo import bases, cli, evolution, models, pauli, vqe
 from qcosmo.errors import DomainError
 from qcosmo.evolution import (
     exact_evolve,
@@ -436,7 +436,7 @@ def test_sector_split_matches_numpy(monkeypatch, kind):
         rng = np.random.default_rng([dim, kind == "complex", 3])
         p = _centrosymmetric(rng, dim, kind)
         calls.clear()
-        (w_even, u_even, _), (w_odd, u_odd, _) = evolution._split([p])
+        _, ((w_even, u_even, _), (w_odd, u_odd, _)) = evolution._split([p])
         m = dim // 2
         assert calls == ([(m, m)] * 2 if m > 1 else [])  # a 1 x 1 block is diagonal
         u = np.block([[u_even, u_odd], [u_even[::-1], -u_odd[::-1]]]) / np.sqrt(2.0)
@@ -476,11 +476,75 @@ def test_swapped_sectors_miss_the_oracle(case):
     else:
         build = _interval_case if case == "interval" else _double_well_case
         parts, psi0, _ = build([], 32, 2)
-    split = evolution._split(parts)
-    assert len(split) == 2
+    pairing, sectors = evolution._split(parts)
+    assert len(sectors) == 2
     oracle = _oracle_trotter(parts, 0.5, 32, 2, psi0)
-    assert np.max(np.abs(evolution._trotter(split, 0.5, 32, 2, psi0) - oracle)) <= 1e-12
-    assert np.max(np.abs(evolution._trotter(split[::-1], 0.5, 32, 2, psi0) - oracle)) > 1e-3
+    swapped = (pairing, sectors[::-1])
+    assert np.max(np.abs(evolution._trotter((pairing, sectors), 0.5, 32, 2, psi0) - oracle)) <= 1e-12
+    assert np.max(np.abs(evolution._trotter(swapped, 0.5, 32, 2, psi0) - oracle)) > 1e-3
+
+
+# ---------------------------------------------------------------------------
+# the former sector path, frozen: _split's own A +- BJ blocks and _trotter's own state maps
+
+def _frozen_split(parts):
+    m, odd = divmod(parts[0].shape[0], 2)
+    if odd or not all(np.array_equal(p, p[::-1, ::-1]) for p in parts):
+        return [evolution._split_sector(parts)]
+    blocks = [(p[:m, :m], p[:m, m:][:, ::-1]) for p in parts]
+    return [evolution._split_sector([a + sign * bj for a, bj in blocks]) for sign in (1, -1)]
+
+
+def _frozen_trotter(sectors, t, steps, order, psi):
+    if len(sectors) == 1:
+        return evolution._trotter_sector(sectors[0], t, steps, order, psi)
+    m = psi.size // 2
+    top, jbottom = psi[:m], psi[m:][::-1]
+    e = evolution._trotter_sector(sectors[0], t, steps, order, (top + jbottom) / np.sqrt(2.0))
+    o = evolution._trotter_sector(sectors[1], t, steps, order, (top - jbottom) / np.sqrt(2.0))
+    return np.concatenate([e + o, (e - o)[::-1]]) / np.sqrt(2.0)
+
+
+def _sector_cases():
+    """The random parts of the sector tests above, and both EOH kinds' parts."""
+    for kind in ("real", "complex"):
+        for dim in [2, 6, 16, 64, 130, 256]:
+            yield [_centrosymmetric(np.random.default_rng([dim, kind == "complex", 3]), dim, kind)]
+    for n_qubits in (1, 4, 8):
+        for case in _WHOLE_SPLITS:
+            rng = np.random.default_rng([n_qubits, list(_WHOLE_SPLITS).index(case)])
+            yield _WHOLE_SPLITS[case](rng, 2**n_qubits)
+    yield _ORACLE_SPLITS["centrosymmetric"](np.random.default_rng(7), 32)
+    for n_qubits in (1, 5, 8):
+        for case in (_interval_case, _double_well_case):
+            yield case([], 8, 2, n_qubits)[0]
+
+
+def test_sector_path_matches_the_frozen_split_bit_for_bit():
+    """The shared pairing builder and state maps give the former blocks' eigenpairs and the
+    former Trotter and exact states, bit for bit."""
+    for parts in _sector_cases():
+        dim = parts[0].shape[0]
+        psi = random_state(np.random.default_rng(dim), dim)
+        pairing, sectors = evolution._split(parts)
+        frozen = _frozen_split(parts)
+        assert (pairing is None) == (len(frozen) == 1) and len(sectors) == len(frozen)
+        for new, old in zip(sectors, frozen):
+            for a, b in zip(new[0] + [new[1]] + new[2], old[0] + [old[1]] + old[2]):
+                assert a.tobytes() == b.tobytes()
+        for order in (1, 2):
+            assert (evolution._trotter((pairing, sectors), 0.7, 5, order, psi).tobytes()
+                    == _frozen_trotter(frozen, 0.7, 5, order, psi).tobytes())
+
+
+@pytest.mark.parametrize("preset", ["fig13", "fig16"])
+def test_eoh_presets_match_the_frozen_sector_path(tmp_path, monkeypatch, preset):
+    assert cli.main(["eoh", "--preset", preset, "--out", str(tmp_path / "new")]) == 0
+    monkeypatch.setattr(evolution, "_split", _frozen_split)
+    monkeypatch.setattr(evolution, "_trotter", _frozen_trotter)
+    assert cli.main(["eoh", "--preset", preset, "--out", str(tmp_path / "old")]) == 0
+    for path in (tmp_path / "old").iterdir():
+        assert path.read_bytes() == (tmp_path / "new" / path.name).read_bytes(), path.name
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +580,7 @@ def test_dtype_twins_give_identical_bits(n_qubits):
     if n_qubits == 8:
         d = 16
         h = h + h.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(dim, dim)
-        assert vqe._exchange_blocks(h) is not None
+        assert bases.exchange(h) is not None
     twin = h.astype(complex)
     psi = random_state(rng, dim)
     assert vqe.exact_ground(h) == vqe.exact_ground(twin)

@@ -463,6 +463,19 @@ def test_friedmann_rejects_non_finite_initial_data(initial):
         models.friedmann_evolve(lambda phi: 0.0, initial, t_span=(0.0, 1.0), dt=0.01)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("steps", [{"dt": math.nan}, {"dt": math.inf},
+                                   {"t_span": (0.0, math.inf)}, {"t_span": (math.nan, 1.0)},
+                                   {"t_span": math.inf}, {"t_span": (0.0, 1e300), "dt": 1e-300},
+                                   {"t_span": (-1e308, 1e308)}],
+                         ids=["nan-dt", "inf-dt", "inf-end", "nan-start", "inf-scalar-span",
+                              "overflowing-count", "overflowing-span"])
+def test_friedmann_refuses_non_finite_step_settings(steps):
+    """Refused before the step count is made: an int() of NaN or inf would raise a bare error."""
+    with pytest.raises(DomainError, match="finite step count"):
+        models.friedmann_evolve(lambda phi: 0.0, (1.0, 0.0, 0.0), **{"dt": 0.01, **steps})
+
+
 def test_friedmann_checks_final_row():
     """A constraint broken only at the last point, which no RK4 stage evaluates, still raises."""
     kw = {"t_span": (0.0, 1.0), "dt": 1.0, "dpotential": lambda phi: 0.0}
