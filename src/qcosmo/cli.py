@@ -321,6 +321,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:  # argv or a path may hold a line break: print one line
         print("config error:", *str(exc).splitlines(), file=sys.stderr)
         return 2
+    except OverflowError:  # Python float arithmetic's text is an errno tuple naming no value
+        print("numerical failure: a value overflowed the float range", file=sys.stderr)
+        return 1
     except (QcosmoError, ArithmeticError) as exc:
         print("numerical failure:", *str(exc).splitlines(), file=sys.stderr)
         return 1

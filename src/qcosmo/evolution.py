@@ -263,8 +263,9 @@ def double_well_parts(params: MinisuperspaceParams, n_qubits: int) -> list[np.nd
     grid = fd_grid(n_qubits)
     v = params.volume(MinisuperspaceKind.NEG_LAMBDA_MORSE)
     g2 = grid * grid  # not grid**4: numpy's power is not even in y to the last bit
-    pot = 2.0 * v**2 * params.k_curv * g2 - 2.0 * v**2 * params.Lambda * (g2 * g2)
-    pot = pot - params.p_phi**2
+    with np.errstate(all="ignore"):  # _checked refuses a non-finite potential
+        pot = 2.0 * v**2 * params.k_curv * g2 - 2.0 * v**2 * params.Lambda * (g2 * g2)
+        pot = pot - params.p_phi**2
     return [free_interval_hamiltonian(n_qubits), np.diag(pot)]
 
 

@@ -1,9 +1,10 @@
 """Pauli-sum decomposition of Hermitian operators on n qubits.
 
 A Hermitian 2^n x 2^n matrix expands uniquely as sum_P c_P * P over the 4^n
-tensor products of {I, X, Y, Z}, with c_P = Tr(P H) / 2^n real. Labels are
-strings over "IXYZ" with qubit 0 the leftmost character (most significant
-bit of the state index).
+tensor products of {I, X, Y, Z}, with c_P = Tr(P H) / 2^n real. Each product
+is named by its flat base-4 index: digit q, most significant first, is qubit
+q's factor as 0, 1, 2, 3 for I, X, Y, Z, and qubit 0 is the most significant
+bit of the state index.
 
 The transform is computed one qubit at a time, each as a real 4 x 4 GEMM on
 the flat coefficient vector, so no 2^n x 2^n Pauli string is ever
@@ -22,16 +23,6 @@ from .bases import MAX_QUBITS, energies, require_hermitian
 from .errors import DomainError, HermiticityError, ShapeError
 
 ZERO_TOL = 1e-12
-
-PAULI_MATRICES = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-_LABELS = "IXYZ"
-_LABEL_CODES = np.array([ord(c) for c in _LABELS], dtype=np.uint32)  # sorted
-_DIGITS = str.maketrans(_LABELS, "0123")
 
 # K[s, 2j+k] = P_s[k, j] for I, X and Z, and -i * Y[k, j] for Y: one qubit's
 # Pauli change of basis with Y's phase taken out, so every entry is 0 or +-1.
@@ -55,8 +46,8 @@ class PauliSum:
 
     Term k is ``coeff[k]`` times the string whose flat coefficient index is
     ``index[k]``: base-4 digit q of the index, most significant first, is
-    qubit q's letter in "IXYZ". Both arrays are read-only copies, checked
-    once here; build from labels with ``from_labels`` or ``from_text``.
+    qubit q's factor (0, 1, 2, 3 for I, X, Y, Z). Both arrays are read-only
+    copies, checked once here.
     """
 
     n_qubits: int
@@ -84,47 +75,6 @@ class PauliSum:
 
     def __len__(self):
         return self.index.size
-
-    def labels(self) -> list[str]:
-        """Each term's label, built on demand."""
-        return _labels(self.index, self.n_qubits)
-
-    def to_text(self) -> str:
-        """One term per line, ``coeff LABEL``, 17 significant digits."""
-        terms = zip(self.coeff.tolist(), self.labels())
-        return "\n".join(f"{c:.17g} {label}" for c, label in terms)
-
-    @classmethod
-    def from_labels(cls, n_qubits: int, labels, coeffs) -> "PauliSum":
-        """The checked constructor from labels; names the first bad label in input order."""
-        index, seen = [], set()
-        for label in labels:
-            if not isinstance(label, str) or len(label) != n_qubits or label.strip(_LABELS):
-                raise ShapeError(f"bad label {label!r} for {n_qubits} qubits")
-            if label in seen:
-                raise ShapeError(f"duplicate label {label!r}")
-            seen.add(label)
-            # the leading 0 lets n_qubits = 0 reach the constructor's check
-            index.append(int("0" + label.translate(_DIGITS), 4))
-        return cls(n_qubits, index, coeffs)
-
-    @classmethod
-    def from_text(cls, text: str) -> "PauliSum":
-        """Parse ``to_text`` output: one ``coeff LABEL`` per non-blank line."""
-        labels, coeffs = [], []
-        for number, line in enumerate(text.splitlines(), 1):
-            if not line.strip():
-                continue
-            try:
-                coeff, label = line.split()
-                coeffs.append(float(coeff))
-            except ValueError:
-                message = f"line {number}: expected 'coeff LABEL', got {line.strip()!r}"
-                raise ShapeError(message) from None
-            labels.append(label)
-        if not labels:
-            raise ShapeError("empty Pauli-sum text")
-        return cls.from_labels(len(labels[0]), labels, coeffs)
 
 
 def _n_qubits_of(dim: int) -> int:
@@ -174,17 +124,6 @@ def _phase(indices: np.ndarray, n: int, y: complex) -> np.ndarray:
     """
     powers = np.cumprod(np.array([1] + [y] * n, dtype=complex))
     return powers[np.bitwise_count((indices >> 1) & ~indices & (4**n - 1) // 3)]
-
-
-def _labels(indices: np.ndarray, n: int) -> list[str]:
-    """The n-letter label of each flat coefficient index.
-
-    Qubit q's letter is base-4 digit q of the index, most significant first.
-    """
-    codes = np.empty((indices.size, n), dtype=np.uint32)
-    for q in range(n):
-        codes[:, q] = _LABEL_CODES[(indices >> 2 * (n - 1 - q)) & 3]
-    return codes.view(f"U{n}").reshape(-1).tolist()
 
 
 def decompose(h: np.ndarray) -> PauliSum:

@@ -19,6 +19,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from qcosmo import evolution, models, pauli, presets, tunneling, vqe, wdw
 from qcosmo.bases import BasisKind
@@ -291,19 +292,23 @@ def test_criterion_7_trotter_scaling():
 # 8. Green's function cross-check
 
 def test_criterion_8_greens_function():
+    special = pytest.importorskip("scipy.special")
     t0 = time.perf_counter()
     worst = 0.0
     for lam in (0.5, 1.0, 2.0):
         for s_sq in (0.25, 0.5, 1.0, 2.0, 4.0):
-            g = wdw.flat_greens_quadrature(0.0, math.sqrt(s_sq), lam)
-            ref = wdw.bessel_k0(math.sqrt(lam * s_sq)) / (2 * math.pi)
-            worst = max(worst, abs(g - ref) / ref)
+            s, m = math.sqrt(s_sq), math.sqrt(lam * s_sq)
+            # spacelike (0, s) against K0(m)/2pi, timelike (s, 0) against -(i/4) H0^(2)(m)
+            for (t, x), ref in (((0.0, s), special.k0(m) / (2 * math.pi)),
+                                ((s, 0.0), -0.25j * special.hankel2(0, m))):
+                g = wdw.flat_greens_quadrature(t, x, lam)
+                worst = max(worst, abs(g - ref) / abs(ref))
     elapsed = time.perf_counter() - t0
-    ok = worst <= 2e-3 and elapsed < 10.0
+    ok = worst <= 1e-12 and elapsed < 10.0
     report(
-        "criterion 8 (Green's function vs K0)",
+        "criterion 8 (Green's function vs scipy's K0 and H0^(2))",
         ok,
-        f"worst relative error {worst:.2e} (tol 2e-3), {elapsed:.2f}s",
+        f"worst relative error {worst:.2e} (tol 1e-12), {elapsed:.2f}s",
     )
 
 

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -396,6 +397,17 @@ REFUSALS = {
     "pauli-overflow": (["exact"], {"model": "starobinsky", "qubits": [4],
                                    "params": {"M1_4": 1.7e308}}, 1,
                        "a Pauli coefficient is not finite: the transform overflowed"),
+    # the double well's v**2 is the float maximum, so its potential is inf - inf
+    "double-well-v-volume-sqrt-max": (["eoh"], {"eoh": {"kind": "double-well", "params": {
+                                          "v_volume": math.sqrt(sys.float_info.max)}}}, 1,
+                                      "matrix has non-finite entries"),
+    # Python float's v**2 raises OverflowError, whose own text is an errno tuple
+    "minisuperspace-v-volume-max": (["exact"], {"model": "minisuperspace", "qubits": [3], "params": {
+                                        "kind": "neg-lambda-morse", "v_volume": sys.float_info.max}},
+                                    1, "a value overflowed the float range"),
+    "double-well-p-phi-max": (["eoh"], {"eoh": {"kind": "double-well", "params": {
+                                  "p_phi": sys.float_info.max}}}, 1,
+                              "a value overflowed the float range"),
 }
 
 # the solvers a config error must come before
@@ -410,8 +422,8 @@ def refuse(tmp_path, argv, config, code, message, *, out="out", built=False):
     ``message``, and no traceback or warning. A config error (exit 2) leaves
     ``tmp_path`` as it found it, so the ``--out`` path is not made, and runs no
     solver unless ``built``. With ``code`` None any exit code is accepted: a
-    success writes no traceback and returns None, and a refusal is held to its
-    own code's contract.
+    success writes no traceback or warning and returns None, and a refusal is
+    held to its own code's contract.
     """
     solved = []
 
@@ -440,6 +452,8 @@ def refuse(tmp_path, argv, config, code, message, *, out="out", built=False):
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             got = run(argv)
         assert got == code if code is not None else got in (0, 1, 2), err.getvalue()
+    # outside pytest a warning would print more lines to stderr
+    assert [str(w.message) for w in caught] == []
     if got == 0:
         assert "Traceback" not in err.getvalue(), err.getvalue()
         return None
@@ -447,8 +461,6 @@ def refuse(tmp_path, argv, config, code, message, *, out="out", built=False):
     assert len(lines) == 1 and "Traceback" not in lines[0], lines
     prefix = {1: "numerical failure: ", 2: "config error: "}[got]
     assert lines[0].startswith(prefix + message), lines[0]
-    # outside pytest a warning would print more lines to stderr
-    assert [str(w.message) for w in caught] == []
     if got == 2:
         assert solved == [], f"config error after {solved}: {lines[0]}"
         assert sorted(tmp_path.rglob("*")) == before
@@ -475,6 +487,10 @@ def _float_edges():
                                        id=f"{kind or model}-{name}-{value:.3g}")
 
 
+# Python's OverflowError text, "(34, 'Numerical result out of range')", names no value
+_ERRNO_TUPLE = re.compile(r"\(\d+, '")
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("cfg", _float_edges())
 def test_float_edges_run_or_fail_cleanly(tmp_path, cfg):
@@ -494,6 +510,7 @@ def test_float_edges_run_or_fail_cleanly(tmp_path, cfg):
         else:
             lines = err.getvalue().splitlines()
             assert got == 1 and len(lines) == 1 and lines[0].startswith("numerical failure: ")
+            assert not _ERRNO_TUPLE.search(lines[0]), lines[0]
     try:
         h = models.build_model(cfg)[0]
     except (QcosmoError, ArithmeticError):
@@ -505,6 +522,31 @@ def test_float_edges_run_or_fail_cleanly(tmp_path, cfg):
             assert np.isfinite(call()).all()
         except (QcosmoError, ArithmeticError):
             pass
+
+
+def _eoh_float_edges():
+    """center, width, a one-entry tau_list and each double-well param at +-the float maximum
+    and +-its square root, on both kinds at 3 qubits."""
+    big = sys.float_info.max
+    for kind in ("interval", "double-well"):
+        for name in ("center", "width", "tau_list", *models.params_schema("minisuperspace")):
+            for value in (big, -big, math.sqrt(big), -math.sqrt(big)):
+                block = ({"params": {name: value}} if name not in config._EOH_SCHEMA
+                         else {name: [value] if name == "tau_list" else value})
+                yield pytest.param({"eoh": {"kind": kind, "n_qubits": 3, **block}},
+                                   id=f"{kind}-{name}-{value:.3g}")
+
+
+@pytest.mark.parametrize("cfg", _eoh_float_edges())
+def test_eoh_float_edges_run_or_fail_cleanly(tmp_path, cfg):
+    """eoh exits 0 with finite norms and deviations, or exits 1 with one numerical-failure line
+    that names what failed; no warning either way."""
+    line = refuse(tmp_path, ["eoh"], cfg, None, "")
+    if line is None:
+        payload = read_json(tmp_path / "out" / "eoh.json")
+        assert all(math.isfinite(v) for k in ("norm", "deviation_vs_exact") for v in payload[k])
+    else:
+        assert line.startswith("numerical failure: ") and not _ERRNO_TUPLE.search(line), line
 
 
 def test_limits_accept_their_boundary():
