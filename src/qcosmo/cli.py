@@ -224,7 +224,7 @@ def cmd_eoh(args) -> int:
                                for prof in profiles],
     }
     _write_json(out_dir / "eoh.json", payload)
-    print(f"eoh profiles for tau={tau_list} -> {out_dir / 'eoh_profile.csv'}")
+    print(f"eoh profiles for {len(tau_list)} times -> {out_dir / 'eoh_profile.csv'}")
     return 0
 
 

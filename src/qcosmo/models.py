@@ -83,22 +83,28 @@ class DarkEnergyTwoRadiusParams:
 
 
 @dataclass(frozen=True)
-class DarkMatterParams:
-    """Couplings of the two-field dark sector models.
-
-    ``lambda_*`` drive the conformally-coupled scalar model; ``g_X``/``g_Y``
-    and ``theta_Y`` drive the self-interacting gauge-field model. The gauge
-    couplings have no canonical benchmark value and should be configured per
-    run.
-    """
+class ConformalScalarParams:
+    """Couplings of the conformally coupled scalar dark sector (``dark_matter_1``)."""
 
     lambda_X: float = 0.005
     lambda_Y: float = 0.005
     lambda_mix: float = 0.001
     a_scale: float = 1.0
+
+
+@dataclass(frozen=True)
+class GaugeFieldParams:
+    """Couplings of the self-interacting gauge-field dark sector (``dark_matter_2``).
+
+    The gauge couplings have no canonical benchmark value and should be
+    configured per run.
+    """
+
     g_X: float = 0.1
     g_Y: float = 0.1
     theta_Y: float = 0.0
+    lambda_mix: float = 0.001
+    a_scale: float = 1.0
 
 
 class MinisuperspaceKind(enum.Enum):
@@ -312,7 +318,7 @@ def dark_energy_two_radius(
 
 
 def dark_matter_model_one(
-    params: DarkMatterParams,
+    params: ConformalScalarParams,
     qubits_per_mode: int,
     basis: BasisKind = BasisKind.OSCILLATOR,
 ) -> np.ndarray:
@@ -327,7 +333,7 @@ def dark_matter_model_one(
 
 
 def dark_matter_model_two(
-    params: DarkMatterParams,
+    params: GaugeFieldParams,
     qubits_per_mode: int,
     basis: BasisKind = BasisKind.OSCILLATOR,
 ) -> np.ndarray:
@@ -484,8 +490,8 @@ _MODELS = {
     "starobinsky": (StarobinskyParams, starobinsky_hamiltonian, 1),
     "dark_energy_1r": (DarkEnergySingleRadiusParams, dark_energy_single_radius, 1),
     "dark_energy_2r": (DarkEnergyTwoRadiusParams, dark_energy_two_radius, 2),
-    "dark_matter_1": (DarkMatterParams, dark_matter_model_one, 2),
-    "dark_matter_2": (DarkMatterParams, dark_matter_model_two, 2),
+    "dark_matter_1": (ConformalScalarParams, dark_matter_model_one, 2),
+    "dark_matter_2": (GaugeFieldParams, dark_matter_model_two, 2),
     "minisuperspace": (MinisuperspaceParams, minisuperspace_hamiltonian, 1),
 }
 

@@ -94,7 +94,7 @@ def test_criterion_3_pauli_counts():
     for row in presets.REPRODUCE_TABLES["table4"]["rows"]:
         if row["quantity"] == "pauli_terms":
             qpm = presets.get_preset(row["preset"])["qubits"][0]
-            h = models.dark_matter_model_one(models.DarkMatterParams(), qpm)
+            h = models.dark_matter_model_one(models.ConformalScalarParams(), qpm)
             counts.append(len(pauli.decompose(h)))
             judged.append(judge(row["preset"], "pauli_terms", counts[-1]))
     elapsed = time.perf_counter() - t0
@@ -123,7 +123,7 @@ def test_criterion_3_exact_grounds():
     them. They are printed with their gaps but not asserted.
     """
     t0 = time.perf_counter()
-    params = models.DarkMatterParams()
+    params = models.ConformalScalarParams()
     grounds = {}
     below_vacuum = True
     for qpm in (2, 3, 4):
@@ -166,7 +166,7 @@ def test_criterion_4_provisional_eight_qubit_models():
             swap[j * 16 + i, i * 16 + j] = 1.0
 
     h2r = models.dark_energy_two_radius(models.DarkEnergyTwoRadiusParams(), 4)
-    h5 = models.dark_matter_model_two(models.DarkMatterParams(), 4)
+    h5 = models.dark_matter_model_two(models.GaugeFieldParams(), 4)
     count_2r = len(pauli.decompose(h2r))
     count_m2 = len(pauli.decompose(h5))
 
@@ -199,7 +199,7 @@ def test_criterion_5_vqe():
     ok = True
     for name, h in (
         ("table1", models.starobinsky_hamiltonian(models.StarobinskyParams(), 4)),
-        ("table4-16", models.dark_matter_model_one(models.DarkMatterParams(), 2)),
+        ("table4-16", models.dark_matter_model_one(models.ConformalScalarParams(), 2)),
     ):
         exact = vqe.exact_ground(h)
         best, best_seed, used = np.inf, None, 0
@@ -324,8 +324,8 @@ def test_criterion_9_property_suite():
         models.starobinsky_hamiltonian(models.StarobinskyParams(), 3),
         models.dark_energy_single_radius(models.DarkEnergySingleRadiusParams(), 4),
         models.dark_energy_two_radius(models.DarkEnergyTwoRadiusParams(), 2),
-        models.dark_matter_model_one(models.DarkMatterParams(), 2),
-        models.dark_matter_model_two(models.DarkMatterParams(), 2),
+        models.dark_matter_model_one(models.ConformalScalarParams(), 2),
+        models.dark_matter_model_two(models.GaugeFieldParams(), 2),
     ]
     herm = all(
         np.max(np.abs(h - h.conj().T)) <= 1e-12 * max(1.0, np.max(np.abs(h))) for h in hams

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qcosmo import cli, config, evolution, models, pauli, presets, vqe
 from qcosmo.circuits import AnsatzSpec
@@ -316,6 +316,19 @@ REFUSALS = {
     "seed-key": (["exact"], {**STARO, "seed": 1}, 2, "unknown config keys: ['seed']"),
     "eoh-params-kind": (["eoh"], {"eoh": {"kind": "double-well", "params": {"kind": "morse-s2"}}},
                         2, "unknown config.eoh.params keys: ['kind']"),
+    # keys that only another eoh kind or dark-matter model reads
+    "interval-width": (["eoh"], {"eoh": {"kind": "interval", "width": 0.0}}, 2,
+                       "unknown config.eoh keys: ['width']"),
+    "interval-params": (["eoh"], {"eoh": {"params": {"Lambda": 1e300}}}, 2,
+                        "unknown config.eoh keys: ['params']"),
+    "double-well-x0-index": (["eoh"], {"eoh": {"kind": "double-well", "x0_index": 0}}, 2,
+                             "unknown config.eoh keys: ['x0_index']"),
+    "dark-matter-1-g-X": (["exact"], {"model": "dark_matter_1", "qubits": [1, 1],
+                                      "params": {"g_X": 1e300}}, 2,
+                          "unknown dark_matter_1 params keys: ['g_X']"),
+    "dark-matter-2-lambda-X": (["exact"], {"model": "dark_matter_2", "qubits": [1, 1],
+                                           "params": {"lambda_X": 0.1}}, 2,
+                               "unknown dark_matter_2 params keys: ['lambda_X']"),
     # a value of the wrong type or outside the range README states
     "budget-str": (["vqe"], {**STARO, "vqe": {"budget": "abc"}}, 2,
                    "config.vqe.budget must be an integer >= 1, not 'abc'"),
@@ -472,18 +485,26 @@ def test_refusals(tmp_path, argv, config, code, message):
     refuse(tmp_path, argv, config, code, message)
 
 
+# each dark-matter model and the other, whose couplings it does not read
+_OTHER_DARK_MATTER = {"dark_matter_1": "dark_matter_2", "dark_matter_2": "dark_matter_1"}
+
+
 def _float_edges():
     """Each model param (per minisuperspace kind) at +-the float maximum and +-its square root,
-    on 4 qubits in total."""
+    on 4 qubits in total, with whether the model reads it: a dark-matter model also gets the
+    couplings that only the other one reads."""
     big = sys.float_info.max
     for model, (_, _, modes) in models._MODELS.items():
         kinds = [k.value for k in models.MinisuperspaceKind] if model == "minisuperspace" else [None]
+        read = [*models.params_schema(model)]
+        other = _OTHER_DARK_MATTER.get(model)
+        unread = [k for k in models.params_schema(other) if k not in read] if other else []
         for kind in kinds:
-            for name in models.params_schema(model):
+            for name in read + unread:
                 for value in (big, -big, math.sqrt(big), -math.sqrt(big)):
                     params = {name: value} if kind is None else {name: value, "kind": kind}
                     yield pytest.param({"model": model, "qubits": [4 // modes] * modes,
-                                        "params": params},
+                                        "params": params}, name in read,
                                        id=f"{kind or model}-{name}-{value:.3g}")
 
 
@@ -492,10 +513,16 @@ _ERRNO_TUPLE = re.compile(r"\(\d+, '")
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("cfg", _float_edges())
-def test_float_edges_run_or_fail_cleanly(tmp_path, cfg):
+@pytest.mark.parametrize("cfg, read", _float_edges())
+def test_float_edges_run_or_fail_cleanly(tmp_path, cfg, read):
     """With warnings as errors, exact and vqe (budget 5) exit 0 with finite values or exit 1
-    with one numerical-failure line, and the library calls return finite values or raise."""
+    with one numerical-failure line, and the library calls return finite values or raise.
+    A param the model does not read is refused (exit 2) by both commands."""
+    if not read:
+        for command in ("exact", "vqe"):
+            refuse(tmp_path, [command], cfg, 2,
+                   f"unknown {cfg['model']} params keys: {[*cfg['params']]}")
+        return
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))
     for command, key in (("exact", "exact_ground"), ("vqe", "vqe")):
         out = tmp_path / command
@@ -524,23 +551,35 @@ def test_float_edges_run_or_fail_cleanly(tmp_path, cfg):
             pass
 
 
+# the keys of the eoh block of each kind
+_EOH_KEYS = {kind: {**config._EOH_SCHEMA, **own} for kind, own in config._EOH_KINDS.items()}
+
+
 def _eoh_float_edges():
-    """center, width, a one-entry tau_list and each double-well param at +-the float maximum
-    and +-its square root, on both kinds at 3 qubits."""
+    """Each float key of the eoh tables (tau_list as a one-entry list) and each double-well
+    param at +-the float maximum and +-its square root, on both kinds at 3 qubits, with the
+    block key that the kind does not read (None if it reads them all)."""
     big = sys.float_info.max
-    for kind in ("interval", "double-well"):
-        for name in ("center", "width", "tau_list", *models.params_schema("minisuperspace")):
+    tables = [config._EOH_SCHEMA, *config._EOH_KINDS.values()]
+    floats = [k for table in tables for k, (_, t, _) in table.items() if t in (float, [float])]
+    params = models.params_schema("minisuperspace")
+    for kind, keys in _EOH_KEYS.items():
+        for name in (*floats, *params):
+            key = "params" if name in params else name
             for value in (big, -big, math.sqrt(big), -math.sqrt(big)):
-                block = ({"params": {name: value}} if name not in config._EOH_SCHEMA
+                block = ({key: {name: value}} if key == "params"
                          else {name: [value] if name == "tau_list" else value})
                 yield pytest.param({"eoh": {"kind": kind, "n_qubits": 3, **block}},
-                                   id=f"{kind}-{name}-{value:.3g}")
+                                   None if key in keys else key, id=f"{kind}-{name}-{value:.3g}")
 
 
-@pytest.mark.parametrize("cfg", _eoh_float_edges())
-def test_eoh_float_edges_run_or_fail_cleanly(tmp_path, cfg):
+@pytest.mark.parametrize("cfg, unread", _eoh_float_edges())
+def test_eoh_float_edges_run_or_fail_cleanly(tmp_path, cfg, unread):
     """eoh exits 0 with finite norms and deviations, or exits 1 with one numerical-failure line
-    that names what failed; no warning either way."""
+    that names what failed; no warning either way. A key the kind does not read exits 2."""
+    if unread:
+        refuse(tmp_path, ["eoh"], cfg, 2, f"unknown config.eoh keys: [{unread!r}]")
+        return
     line = refuse(tmp_path, ["eoh"], cfg, None, "")
     if line is None:
         payload = read_json(tmp_path / "out" / "eoh.json")
@@ -776,6 +815,7 @@ def test_eoh_embeds_resolved_block(tmp_path):
     assert run(["eoh", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     block = read_json(tmp_path / "eoh.json")["config"]["eoh"]
     assert block["x0_index"] == 4 and block["steps"] == 64 and block["kind"] == "interval"
+    assert sorted(block) == sorted(_EOH_KEYS["interval"])
 
 
 # Random configs stay small: at most 3 qubits per mode and a VQE budget of at
@@ -789,20 +829,22 @@ _JUNK = st.one_of(
 
 
 def _blocks(schema, path=()):
-    """(path, schema) of a schema table's block and of each block in it.
+    """(path, schema) of each block in a schema table, at any depth.
 
-    A params block with no schema of its own (None) is checked against its model's fields.
+    A block with no schema of its own (None) is checked against the config it is in: a params
+    block against its model's fields, the eoh block against its kind's keys.
     """
-    yield path, schema
     for key, (_, kind, allowed) in schema.items():
-        if kind is dict and allowed is None:
-            yield (*path, key), None
-        elif kind is dict:
-            yield from _blocks(allowed, (*path, key))
+        if kind is dict:
+            yield (*path, key), allowed
+            if allowed is not None:
+                yield from _blocks(allowed, (*path, key))
 
 
-# the run table and every block in it, so a new key is fuzzed as soon as it is added
-_MUTABLE = [None, *_blocks(config._RUN_SCHEMA)]
+# the run table and every block in it, each eoh kind's too, so a new key is fuzzed as soon
+# as it is added
+_MUTABLE = [None, ((), config._RUN_SCHEMA), *_blocks(config._RUN_SCHEMA),
+            *(block for own in config._EOH_KINDS.values() for block in _blocks(own, ("eoh",)))]
 
 
 @st.composite
@@ -834,7 +876,9 @@ def _configs(draw):
         for block in path[:-1]:
             outer = outer.setdefault(block, {})
         target = outer.setdefault(path[-1], {}) if path else config
-        if schema is None:
+        if path == ("eoh",):
+            schema = _EOH_KEYS[target["kind"]]
+        elif schema is None:
             schema = models.params_schema(outer["model"])
         key = draw(st.sampled_from([*schema, "bogus"]))
         # a zero M2, c, mu2 or a_scale divides by zero, and 1e100 overflows: exit 1
@@ -845,6 +889,9 @@ def _configs(draw):
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(command=st.sampled_from(["exact", "vqe", "eoh"]), config=_configs())
+# numerical failures (exit 1), which the configs drawn at this seed do not reach
+@example(command="exact", config={**STARO, "params": {"M2": 0.0}})
+@example(command="eoh", config={"eoh": {"kind": "double-well", "n_qubits": 3, "width": 0.0}})
 def test_random_configs_exit_cleanly(command, config):
     with tempfile.TemporaryDirectory() as tmp:
         refuse(Path(tmp), [command], config, None, "")

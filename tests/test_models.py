@@ -7,9 +7,10 @@ from qcosmo import bases, models, pauli, presets, vqe
 from qcosmo.bases import BasisKind
 from qcosmo.errors import ConfigError, DomainError, InconsistentInitialDataError
 from qcosmo.models import (
+    ConformalScalarParams,
     DarkEnergySingleRadiusParams,
     DarkEnergyTwoRadiusParams,
-    DarkMatterParams,
+    GaugeFieldParams,
     MinisuperspaceKind,
     MinisuperspaceParams,
     StarobinskyParams,
@@ -100,18 +101,18 @@ def test_two_radius_matches_scalar_potential():
 
 def test_model_one_pauli_counts():
     for qpm, count in [(2, 25), (3, 361)]:
-        h = models.dark_matter_model_one(DarkMatterParams(), qpm)
+        h = models.dark_matter_model_one(ConformalScalarParams(), qpm)
         assert len(pauli.decompose(h)) == count
 
 
 def test_model_one_decoupled_limit():
-    params = DarkMatterParams(lambda_X=0.0, lambda_Y=0.0, lambda_mix=0.0)
+    params = ConformalScalarParams(lambda_X=0.0, lambda_Y=0.0, lambda_mix=0.0)
     h = models.dark_matter_model_one(params, 2)
     assert vqe.exact_ground(h) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_model_one_separates_without_mix():
-    params = DarkMatterParams(lambda_mix=0.0)
+    params = ConformalScalarParams(lambda_mix=0.0)
     h = models.dark_matter_model_one(params, 2)
     from qcosmo.bases import build_momentum_squared, build_position
 
@@ -123,7 +124,7 @@ def test_model_one_separates_without_mix():
 
 
 def test_model_one_swap_symmetry():
-    h = models.dark_matter_model_one(DarkMatterParams(), 2)
+    h = models.dark_matter_model_one(ConformalScalarParams(), 2)
     s = swap_matrix(4)
     assert np.max(np.abs(h @ s - s @ h)) <= 1e-10
 
@@ -132,7 +133,7 @@ def test_model_two_theta_zero_form():
     """With theta = 0 the Hamiltonian matches the direct construction."""
     from qcosmo.bases import build_momentum, build_position
 
-    params = DarkMatterParams(g_X=0.2, g_Y=0.3, lambda_mix=0.01, theta_Y=0.0)
+    params = GaugeFieldParams(g_X=0.2, g_Y=0.3, lambda_mix=0.01, theta_Y=0.0)
     d = 4
     x = build_position(BasisKind.OSCILLATOR, d)
     p = build_momentum(BasisKind.OSCILLATOR, d)
@@ -150,7 +151,7 @@ def test_model_two_theta_zero_form():
 
 
 def test_model_two_kinetic_only_psd():
-    params = DarkMatterParams(g_X=0.0, g_Y=0.0, lambda_mix=0.0, theta_Y=0.0)
+    params = GaugeFieldParams(g_X=0.0, g_Y=0.0, lambda_mix=0.0, theta_Y=0.0)
     h = models.dark_matter_model_two(params, 2)
     assert vqe.exact_ground(h) >= -1e-10
 
@@ -158,9 +159,7 @@ def test_model_two_kinetic_only_psd():
 def test_model_two_hermitian_random_params():
     rng = np.random.default_rng(0)
     for _ in range(100):
-        params = DarkMatterParams(
-            lambda_X=rng.uniform(0, 0.1),
-            lambda_Y=rng.uniform(0, 0.1),
+        params = GaugeFieldParams(
             lambda_mix=rng.uniform(-0.05, 0.05),
             a_scale=rng.uniform(0.5, 2.0),
             g_X=rng.uniform(0, 1),
@@ -172,7 +171,7 @@ def test_model_two_hermitian_random_params():
 
 
 def test_model_two_swap_symmetry_symmetric_params():
-    params = DarkMatterParams(g_X=0.4, g_Y=0.4, theta_Y=0.0)
+    params = GaugeFieldParams(g_X=0.4, g_Y=0.4, theta_Y=0.0)
     h = models.dark_matter_model_two(params, 2)
     s = swap_matrix(4)
     assert np.max(np.abs(h @ s - s @ h)) <= 1e-10 * np.max(np.abs(h))

@@ -345,7 +345,7 @@ def test_starobinsky_term_count():
 
 
 def test_roundtrip_model_one():
-    h = models.dark_matter_model_one(models.DarkMatterParams(), 2)
+    h = models.dark_matter_model_one(models.ConformalScalarParams(), 2)
     s = pauli.decompose(h)
     back = pauli.reconstruct(s)
     assert np.max(np.abs(back - h)) <= 1e-10
@@ -382,7 +382,7 @@ def test_parseval_identity():
 
 
 def test_count_permutation_covariant():
-    h = models.dark_matter_model_one(models.DarkMatterParams(), 2)
+    h = models.dark_matter_model_one(models.ConformalScalarParams(), 2)
     n = 4
     # swap qubits 0 and 3 of the 16x16 matrix
     perm = []
@@ -416,7 +416,7 @@ def test_expectation_basics():
 
 
 def test_expectation_matches_dense_ground():
-    h = models.dark_matter_model_one(models.DarkMatterParams(), 2)
+    h = models.dark_matter_model_one(models.ConformalScalarParams(), 2)
     vec = np.linalg.eigh(h)[1][:, 0]
     s = pauli.decompose(h)
     assert pauli.expectation(s, vec) == pytest.approx(vqe.exact_ground(h), abs=1e-8)
@@ -424,7 +424,7 @@ def test_expectation_matches_dense_ground():
 
 def test_expectation_matches_dense_random_states():
     rng = np.random.default_rng(11)
-    h = models.dark_matter_model_one(models.DarkMatterParams(), 2)
+    h = models.dark_matter_model_one(models.ConformalScalarParams(), 2)
     s = pauli.decompose(h)
     for _ in range(20):
         psi = rng.normal(size=16) + 1j * rng.normal(size=16)
